@@ -43,9 +43,7 @@ def _build():
 
 
 def _timed_serial(graph, motif):
-    # Default two-phase configuration — the exact search the parallel
-    # engine mirrors (the fused use_cache=False pipeline is a different
-    # algorithm and is benchmarked in bench_fig8_join_vs_twophase).
+    # The serial pipeline: the exact search the parallel engine shards.
     engine = FlowMotifEngine(graph)
     start = time.perf_counter()
     result = engine.find_instances(motif, collect=False)

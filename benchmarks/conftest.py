@@ -3,8 +3,8 @@
 Benchmarks run on reduced-scale datasets (``BENCH_SCALE``) so the whole
 suite finishes in minutes on a laptop while preserving every qualitative
 shape the paper reports. Graphs and engines are session-scoped: dataset
-generation and phase-P1 match caches are shared across benchmarks, exactly
-like the paper's experiments reuse one loaded dataset.
+generation is shared across benchmarks, exactly like the paper's
+experiments reuse one loaded dataset.
 """
 
 from __future__ import annotations
@@ -55,14 +55,10 @@ def datasets(bitcoin, facebook, passenger):
 
 @pytest.fixture(scope="session")
 def engines(datasets):
-    """One engine per dataset with a warmed structural-match cache."""
-    result = {}
-    for name, (graph, delta, phi) in datasets.items():
-        engine = FlowMotifEngine(graph)
-        for motif in paper_motifs(delta, phi).values():
-            engine.structural_matches(motif)
-        result[name] = engine
-    return result
+    """One engine per dataset."""
+    return {
+        name: FlowMotifEngine(graph) for name, (graph, _, _) in datasets.items()
+    }
 
 
 def bench_motifs(delta, phi, names=None):

@@ -37,7 +37,7 @@ def main() -> None:
 
     result = engine.find_instances(triangle)
     print(
-        f"phase P1 found {result.num_matches} structural matches; "
+        f"phase P1 kept {result.num_matches} feasible structural matches; "
         f"phase P2 found {result.count} maximal instance(s)"
     )
     for instance in result.instances:

@@ -15,7 +15,7 @@ benchmark ``bench_ablation_counting`` measures the speed-up.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.enumeration import match_is_feasible
 from repro.core.matching import StructuralMatch
@@ -106,7 +106,7 @@ def count_instances_in_match(
 
 
 def count_instances(
-    matches: Sequence[StructuralMatch],
+    matches: Iterable[StructuralMatch],
     delta: Optional[float] = None,
     phi: Optional[float] = None,
     skip_rule: bool = True,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.enumeration import match_is_feasible
 from repro.core.instance import MotifInstance, Run
@@ -362,7 +362,7 @@ def top_one_per_window(
 
 
 def top_one_instance(
-    matches: Sequence[StructuralMatch],
+    matches: Iterable[StructuralMatch],
     delta: Optional[float] = None,
     method: str = "auto",
     reconstruct: bool = True,

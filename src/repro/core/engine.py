@@ -14,15 +14,16 @@ behind one object bound to an interaction graph:
 >>> round(result.instances[0].flow, 1)
 5.0
 
-Phase timings are recorded the way the paper reports them: phase P1
-(structural matching, independent of δ/φ — Table 4) and phase P2 (instance
-search — Figures 8–10).
+Every search runs one streaming pipeline: phase P1 matches come out of the
+δ/φ-aware anchor-frontier DFS of :mod:`repro.core.matching` and flow
+straight into phase P2, with no intermediate match list. The paper's
+unpruned phase P1 (Table 4) is :meth:`FlowMotifEngine.structural_matches`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.core import counting as _counting
 from repro.core import dp as _dp
@@ -55,14 +56,17 @@ class SearchResult:
     count:
         Number of instances found (also set when not collecting).
     num_matches:
-        Number of phase-P1 structural matches (Table 4's "Instances").
+        Number of δ/φ-feasible structural matches the search examined:
+        those where some δ-window could hold an instance. Table 4's
+        unpruned count is ``len(engine.structural_matches(motif))``.
         Parallel runs report the sum of per-shard feasible match counts,
-        which can differ from the serial count (a match whose events span
-        several shards is examined by each of them).
+        which can differ from the serial count (a match with owned anchors
+        in several shards is examined by each of them).
     p1_seconds, p2_seconds:
-        Wall-clock time of the two phases. Parallel runs report aggregate
-        *work* (the sum over shards); the elapsed critical path lives in
-        ``shard_timings``.
+        Wall-clock time of the two phases. The serial pipeline interleaves
+        them and reports its whole time as ``p2_seconds``. Parallel runs
+        report aggregate *work* (the sum over shards); the elapsed critical
+        path lives in ``shard_timings``.
     shard_timings:
         Per-shard breakdown of a parallel run (None for serial searches);
         see :class:`repro.utils.timing.ShardTimingReport`.
@@ -97,9 +101,8 @@ class FlowMotifEngine:
 
     Notes
     -----
-    Structural matches are cached per motif *shape* (spanning path), since
-    they do not depend on δ/φ; repeated searches with different constraints
-    (the Figure 9/10 sweeps) pay phase P1 once.
+    Searches keep no state between calls: each runs its own δ/φ-pruned
+    phase P1 (see :mod:`repro.core.matching`).
     """
 
     def __init__(self, graph: Union[InteractionGraph, TimeSeriesGraph]) -> None:
@@ -112,7 +115,6 @@ class FlowMotifEngine:
                 "graph must be an InteractionGraph or TimeSeriesGraph, "
                 f"got {type(graph).__name__}"
             )
-        self._match_cache: dict = {}
 
     @property
     def time_series_graph(self) -> TimeSeriesGraph:
@@ -123,24 +125,22 @@ class FlowMotifEngine:
     # Phase P1
     # ------------------------------------------------------------------
 
-    def structural_matches(
-        self, motif: Motif, use_cache: bool = True
-    ) -> List[StructuralMatch]:
-        """All structural matches of the motif (phase P1, Table 4)."""
-        key = motif.spanning_path
-        if use_cache and key in self._match_cache:
-            cached = self._match_cache[key]
-            return [
-                StructuralMatch(motif, m.vertex_map, m.series) for m in cached
-            ]
-        matches = find_structural_matches(self._ts, motif)
-        if use_cache:
-            self._match_cache[key] = matches
-        return matches
+    def structural_matches(self, motif: Motif) -> List[StructuralMatch]:
+        """All structural matches of the motif: the paper's unpruned phase
+        P1 (Table 4, Figure 8). Searches do not use it."""
+        return find_structural_matches(self._ts, motif)
 
-    def clear_cache(self) -> None:
-        """Drop cached structural matches (e.g. after graph changes)."""
-        self._match_cache.clear()
+    def _feasible_matches(
+        self, motif: Motif, delta: Optional[float], phi: Optional[float]
+    ) -> Iterator[StructuralMatch]:
+        """Phase P1 pruned to the matches that can host an instance under
+        the effective δ and φ, streamed."""
+        return iter_structural_matches(
+            self._ts,
+            motif,
+            delta=motif.delta if delta is None else delta,
+            phi=motif.phi if phi is None else phi,
+        )
 
     def parallel(
         self,
@@ -185,7 +185,6 @@ class FlowMotifEngine:
         collect: bool = True,
         skip_rule: bool = True,
         prefix_pruning: bool = True,
-        use_cache: bool = True,
     ) -> SearchResult:
         """Find all maximal instances of ``motif`` (Sections 4, Algorithm 1).
 
@@ -200,15 +199,6 @@ class FlowMotifEngine:
             sweeps); ``result.count`` is still exact.
         skip_rule, prefix_pruning:
             Ablation switches (see :mod:`repro.core.enumeration`).
-
-        Notes
-        -----
-        With ``use_cache=False`` the search runs *fused*: structural
-        matches stream out of a flow/temporally-pruned DFS directly into
-        phase P2, skipping matches that provably host no instance. The
-        instance set is identical; ``num_matches`` then reports the pruned
-        (feasible) match count and the whole time is accounted to
-        ``p2_seconds``.
         """
         result = SearchResult(motif=motif)
         counter = [0]
@@ -224,43 +214,18 @@ class FlowMotifEngine:
         with _span(
             "query.find_instances", motif=str(motif), backend="serial"
         ):
-            if use_cache:
-                with _span("p1.match"), Timer() as t1:
-                    matches = self.structural_matches(motif, use_cache=True)
-                result.num_matches = len(matches)
-                result.p1_seconds = t1.elapsed
-                with _span("p2.enumerate"), Timer() as t2:
-                    _enumeration.find_instances(
-                        matches,
-                        delta=delta,
-                        phi=phi,
-                        on_instance=sink,
-                        skip_rule=skip_rule,
-                        prefix_pruning=prefix_pruning,
-                    )
-                result.p2_seconds = t2.elapsed
-            else:
-                effective_phi = motif.phi if phi is None else phi
-                with _span("p2.enumerate", fused=True), Timer() as t2:
-                    for match in iter_structural_matches(
-                        self._ts, motif, phi=effective_phi,
-                        temporal_pruning=True
-                    ):
-                        result.num_matches += 1
-                        _enumeration.find_instances_in_match(
-                            match,
-                            delta=delta,
-                            phi=phi,
-                            on_instance=sink,
-                            skip_rule=skip_rule,
-                            prefix_pruning=prefix_pruning,
-                        )
-                result.p2_seconds = t2.elapsed
+            with _span("p2.enumerate"), Timer() as t2:
+                _enumeration.find_instances(
+                    _counted(self._feasible_matches(motif, delta, phi), result),
+                    delta=delta,
+                    phi=phi,
+                    on_instance=sink,
+                    skip_rule=skip_rule,
+                    prefix_pruning=prefix_pruning,
+                )
+            result.p2_seconds = t2.elapsed
         result.count = counter[0]
-        reg = _metrics.active()
-        if reg is not None:
-            reg.counter("p1.matches").inc(result.num_matches)
-            reg.counter("p2.instances").inc(result.count)
+        _record_counts(result)
         return result
 
     def count_instances(
@@ -268,7 +233,6 @@ class FlowMotifEngine:
         motif: Motif,
         delta: Optional[float] = None,
         phi: Optional[float] = None,
-        use_cache: bool = True,
     ) -> SearchResult:
         """Count maximal instances without constructing them (memoized;
         the Section 7 future-work feature)."""
@@ -276,19 +240,14 @@ class FlowMotifEngine:
         with _span(
             "query.count_instances", motif=str(motif), backend="serial"
         ):
-            with _span("p1.match"), Timer() as t1:
-                matches = self.structural_matches(motif, use_cache=use_cache)
-            result.num_matches = len(matches)
-            result.p1_seconds = t1.elapsed
             with _span("p2.count"), Timer() as t2:
                 result.count = _counting.count_instances(
-                    matches, delta=delta, phi=phi
+                    _counted(self._feasible_matches(motif, delta, phi), result),
+                    delta=delta,
+                    phi=phi,
                 )
             result.p2_seconds = t2.elapsed
-        reg = _metrics.active()
-        if reg is not None:
-            reg.counter("p1.matches").inc(result.num_matches)
-            reg.counter("p2.instances").inc(result.count)
+        _record_counts(result)
         return result
 
     def top_k(
@@ -296,19 +255,37 @@ class FlowMotifEngine:
         motif: Motif,
         k: int,
         delta: Optional[float] = None,
-        use_cache: bool = True,
     ) -> List[MotifInstance]:
         """The k maximal instances with the largest flow (Section 5)."""
-        matches = self.structural_matches(motif, use_cache=use_cache)
-        return _topk.top_k_instances(matches, k, delta=delta)
+        with _span("p2.top_k"):
+            return _topk.top_k_instances(
+                self._feasible_matches(motif, delta, 0.0), k, delta=delta
+            )
 
     def top_one_dp(
         self,
         motif: Motif,
         delta: Optional[float] = None,
         method: str = "auto",
-        use_cache: bool = True,
     ) -> _dp.TopOneResult:
         """The maximum-flow instance via the DP module (Section 5.1)."""
-        matches = self.structural_matches(motif, use_cache=use_cache)
-        return _dp.top_one_instance(matches, delta=delta, method=method)
+        return _dp.top_one_instance(
+            self._feasible_matches(motif, delta, 0.0), delta=delta, method=method
+        )
+
+
+def _counted(
+    matches: Iterable[StructuralMatch], result: SearchResult
+) -> Iterator[StructuralMatch]:
+    """Pass ``matches`` through, counting them into ``result.num_matches``."""
+    for match in matches:
+        result.num_matches += 1
+        yield match
+
+
+def _record_counts(result: SearchResult) -> None:
+    """Add a search's match and instance counts to the active registry."""
+    reg = _metrics.active()
+    if reg is not None:
+        reg.counter("p1.matches").inc(result.num_matches)
+        reg.counter("p2.instances").inc(result.count)

@@ -33,7 +33,7 @@ anchors are distinct.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.instance import MotifInstance, Run
 from repro.core.matching import StructuralMatch
@@ -62,6 +62,10 @@ def match_is_feasible(
       ``R(e_1)``, then the first strictly later element of ``R(e_2)``, …)
       exists iff any such chain exists (ignoring δ, which the window
       iterator enforces later).
+
+    The δ-aware phase P1 of :func:`repro.core.matching.
+    iter_structural_matches` applies both checks, the temporal one per
+    δ-window; they stay here for callers passing unpruned match lists.
     """
     if phi > 0:
         for series in series_list:
@@ -206,7 +210,7 @@ def find_instances_in_match(
 
 
 def find_instances(
-    matches: Sequence[StructuralMatch],
+    matches: Iterable[StructuralMatch],
     delta: Optional[float] = None,
     phi: Optional[float] = None,
     on_instance: Optional[Callable[[MotifInstance], None]] = None,

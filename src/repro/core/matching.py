@@ -11,11 +11,18 @@ the walks of length ``m`` in ``G_T`` whose vertex-repetition pattern equals
 the spanning path's pattern (same position pairs coincide, all other
 positions are pairwise distinct — the bijection requirement of
 Definition 3.2).
+
+The search pipeline runs the same DFS δ-aware (``delta=``): an exact
+anchor-frontier test drops every branch on which no δ-window could hold an
+instance, so phase P2 only sees matches that might host one. The unpruned
+set stays available for Table 4 and the figure experiments through
+:func:`find_structural_matches`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.motif import Motif
 from repro.graph.events import Node
@@ -71,10 +78,11 @@ class StructuralMatch:
 def iter_structural_matches(
     graph: TimeSeriesGraph,
     motif: Motif,
+    delta: Optional[float] = None,
     phi: float = 0.0,
-    temporal_pruning: bool = False,
+    anchor_range: Optional[Tuple[float, float]] = None,
 ) -> Iterator[StructuralMatch]:
-    """Yield all structural matches of ``motif`` in ``graph`` (phase P1).
+    """Yield the structural matches of ``motif`` in ``graph`` (phase P1).
 
     Matches are produced in deterministic order (sorted start vertex, then
     sorted extension), so runs are reproducible across processes.
@@ -88,17 +96,30 @@ def iter_structural_matches(
     * otherwise every out-neighbour not yet used by another motif vertex is
       tried (injectivity — Definition 3.2's bijection).
 
+    With the defaults this is the paper's pure phase P1 (Table 4), blind to
+    time and flow.
+
     Parameters
     ----------
-    phi, temporal_pruning:
-        Optional *flow-aware* pruning for the fused search pipeline: with
-        ``temporal_pruning=True`` a branch is cut when its series cannot
-        host a strictly time-respecting chain (greedy earliest walk dies)
-        or, with ``phi > 0``, when a chosen series' total flow is below φ.
-        Pruned branches cannot contribute any instance, so downstream
-        enumeration output is unchanged — but the *match set* is a subset
-        of the unpruned one. Keep both defaults for the paper's pure
-        phase P1 (Table 4 semantics).
+    delta:
+        When given, P1 is δ-aware: each branch carries an *anchor
+        frontier*, the pairs ``(a, r)`` where ``a`` is a time of ``R(e_1)``
+        (a window anchor) and ``r`` the end of the greedy, strictly
+        time-respecting chain from ``a`` over the series chosen so far
+        (first element of each next series strictly after the previous
+        one). Every instance
+        starts at an anchor ``a`` and its own chain can only end later than
+        the greedy one, so an anchor is dropped once ``r > a + δ``; pairs
+        with equal reach merge into the later anchor, whose deadline is
+        later. A branch dies when no anchor is left, so only matches where
+        some window could hold an instance are yielded.
+    phi:
+        When positive, a branch is cut when a chosen series' total flow is
+        below φ (every edge-set is a subset of its series).
+    anchor_range:
+        With ``delta``, seed the frontier only with anchors in the
+        half-open ``[lo, hi)`` — the instances a :mod:`repro.parallel`
+        shard owns.
     """
     path = motif.spanning_path
     m = motif.num_edges
@@ -106,24 +127,47 @@ def iter_structural_matches(
     assignment: Dict[int, Node] = {}
     used: set = set()
     chosen_series: List[Optional[EdgeSeries]] = [None] * m
-    # chain_time[i]: earliest end of a time-respecting chain over the
-    # series chosen for edges 0..i (greedy; only with temporal_pruning).
-    chain_time: List[float] = [0.0] * m
+    # anchors[i], reaches[i]: the live frontier after edge i (δ-aware only).
+    # Both ascend; reaches strictly after position 0.
+    anchors: List[Sequence[float]] = [()] * m
+    reaches: List[Sequence[float]] = [()] * m
 
     def admit(position: int, series: EdgeSeries) -> bool:
-        """Apply the optional flow/temporal pruning for one extension."""
+        """Apply the optional flow/frontier pruning for one extension."""
         if phi > 0 and series.total_flow < phi:
             return False
-        if not temporal_pruning:
+        if delta is None:
             return True
+        times = series.times
         if position == 0:
-            chain_time[0] = series.first_time
-            return True
-        idx = series.first_index_after(chain_time[position - 1])
-        if idx >= len(series):
-            return False
-        chain_time[position] = series.times[idx]
-        return True
+            seeds = times
+            if anchor_range is not None:
+                lo, hi = anchor_range
+                seeds = times[bisect_left(times, lo) : bisect_left(times, hi)]
+            anchors[0] = reaches[0] = seeds
+            return len(seeds) > 0
+        n = len(times)
+        last = position == m - 1
+        live_anchors: List[float] = []
+        live_reaches: List[float] = []
+        idx = 0
+        for a, r in zip(anchors[position - 1], reaches[position - 1]):
+            idx = bisect_right(times, r, idx)
+            if idx == n:
+                break  # reaches ascend: no later anchor can continue
+            t = times[idx]
+            if t > a + delta:
+                continue
+            if last:
+                return True
+            if live_reaches and live_reaches[-1] == t:
+                live_anchors[-1] = a
+            else:
+                live_anchors.append(a)
+                live_reaches.append(t)
+        anchors[position] = live_anchors
+        reaches[position] = live_reaches
+        return len(live_anchors) > 0
 
     def extend(position: int) -> Iterator[StructuralMatch]:
         if position == m:
@@ -168,5 +212,5 @@ def iter_structural_matches(
 def find_structural_matches(
     graph: TimeSeriesGraph, motif: Motif
 ) -> List[StructuralMatch]:
-    """All structural matches as a list (the paper's set ``S``)."""
+    """All structural matches as a list (the paper's unpruned set ``S``)."""
     return list(iter_structural_matches(graph, motif))

@@ -42,6 +42,7 @@ sweep, so their emissions are identical by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -362,9 +363,11 @@ class StreamingDetector:
                 EdgeSeries(s.src, s.dst, list(s.times), list(s.flows))
                 for s in self._graph.all_series()
             )
+            # δ = ∞ reduces the anchor frontier to the greedy chain test
+            # this legacy path has always applied.
             self._matches = list(
                 iter_structural_matches(
-                    self._ts, self.motif, phi=self.phi, temporal_pruning=True
+                    self._ts, self.motif, delta=math.inf, phi=self.phi
                 )
             )
             self._rebuild_count += 1

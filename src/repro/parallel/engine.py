@@ -586,10 +586,9 @@ class ParallelFlowMotifEngine:
         """All maximal instances of ``motif`` — sharded Algorithm 1.
 
         Accepts the same arguments as
-        :meth:`repro.core.engine.FlowMotifEngine.find_instances` (minus
-        ``use_cache``, which has no sharded meaning) and returns an
-        identical instance set; the merged result additionally carries a
-        per-shard :class:`~repro.utils.timing.ShardTimingReport`.
+        :meth:`repro.core.engine.FlowMotifEngine.find_instances` and
+        returns an identical instance set; the merged result additionally
+        carries a per-shard :class:`~repro.utils.timing.ShardTimingReport`.
         """
         effective_delta = motif.delta if delta is None else delta
         effective_phi = motif.phi if phi is None else phi

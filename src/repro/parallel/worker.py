@@ -22,17 +22,19 @@ the parent graph's series using the shard's slice offsets, so merged
 instances are bit-identical to what a serial search would have produced
 (including being backed by the parent's own :class:`EdgeSeries` objects).
 
-Phase P1 runs per shard with the output-preserving fused pruning of
-:func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
-True``): a shard only materializes matches that can host an instance
-*somewhere in the shard*, which is a superset of what its owned windows
-need.
+Phase P1 runs per shard as the δ/φ-aware anchor frontier of
+:func:`repro.core.matching.iter_structural_matches`, seeded only with the
+anchors in ``shard.anchor_range``. Every instance a shard owns starts at
+an owned anchor, so the test stays exact: a shard lists only the matches
+whose owned windows might hold an instance, and matches seen only through
+its halo are never built. Phase P2 still iterates every window of a listed
+match, so the skip rule sees the same history as a serial run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import counting as _counting
 from repro.core import enumeration as _enumeration
@@ -79,11 +81,15 @@ def _record(instance: MotifInstance) -> InstanceRecord:
     )
 
 
-def _shard_matches(shard: TimeShard, motif: Motif, phi: float):
-    """Phase P1 on the shard slice, with output-preserving fused pruning."""
+def _shard_matches(shard: TimeShard, motif: Motif, delta: float, phi: float):
+    """Phase P1 on the shard slice, pruned to its owned anchors."""
     return list(
         iter_structural_matches(
-            shard.graph, motif, phi=phi, temporal_pruning=True
+            shard.graph,
+            motif,
+            delta=delta,
+            phi=phi,
+            anchor_range=shard.anchor_range,
         )
     )
 
@@ -110,7 +116,7 @@ def search_shard(
     # p1_seconds/p2_seconds, so span totals reconcile with the merged
     # ShardTimingReport (asserted in tests/obs/test_observed_search.py).
     with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, phi)
+        matches = _shard_matches(shard, motif, delta, phi)
     out.num_matches = len(matches)
     out.p1_seconds = t1.elapsed
 
@@ -150,7 +156,7 @@ def count_shard(
     if shard.graph.num_series == 0:
         return out
     with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, phi)
+        matches = _shard_matches(shard, motif, delta, phi)
     out.num_matches = len(matches)
     out.p1_seconds = t1.elapsed
     with _span("p2.count", shard=shard.index), Timer() as t2:
@@ -181,7 +187,7 @@ def top_k_shard(
     if shard.graph.num_series == 0:
         return out
     with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, 0.0)
+        matches = _shard_matches(shard, motif, delta, 0.0)
     out.num_matches = len(matches)
     out.p1_seconds = t1.elapsed
     with _span("p2.top_k", shard=shard.index), Timer() as t2:
@@ -194,6 +200,22 @@ def top_k_shard(
     return out
 
 
+def group_bounds(
+    configs: Iterable[Tuple[Motif, float, float]]
+) -> Dict[Tuple[int, ...], Tuple[float, float]]:
+    """Per spanning path, the largest δ and smallest φ of its ``(motif,
+    delta, phi)`` configurations: the P1 pruning whose match list holds
+    every member's feasible matches."""
+    bounds: Dict[Tuple[int, ...], Tuple[float, float]] = {}
+    for motif, delta, phi in configs:
+        key = motif.spanning_path
+        if key in bounds:
+            delta = max(delta, bounds[key][0])
+            phi = min(phi, bounds[key][1])
+        bounds[key] = (delta, phi)
+    return bounds
+
+
 def batch_search_shard(
     shard: TimeShard,
     specs: Sequence[Tuple[int, Motif, float, float]],
@@ -203,14 +225,16 @@ def batch_search_shard(
 
     ``specs`` is a list of ``(config_index, motif, delta, phi)`` with
     resolved constraints; configurations whose motifs share a spanning
-    path reuse one phase-P1 match list (computed with φ = 0 so it serves
-    every φ in the group). The shared P1 time is attributed to the first
-    configuration of each topology group; the others report ``p1_seconds
-    == 0.0`` — summing per-config timings therefore reflects the real
-    total work, exactly the saving the runner exists to exploit.
+    path reuse one phase-P1 match list, pruned with the group's largest δ
+    and smallest φ so it holds every member's feasible matches. The shared
+    P1 time is attributed to the first configuration of each topology
+    group; the others report ``p1_seconds == 0.0`` — summing per-config
+    timings therefore reflects the real total work, exactly the saving the
+    runner exists to exploit.
     """
     outputs: List[ShardSearchOutput] = []
     empty = shard.graph.num_series == 0
+    bounds = group_bounds((motif, delta, phi) for _, motif, delta, phi in specs)
     matches_by_path: dict = {}
     for config_index, motif, delta, phi in specs:
         out = ShardSearchOutput(shard_index=shard.index, config_index=config_index)
@@ -220,8 +244,7 @@ def batch_search_shard(
         key = motif.spanning_path
         if key not in matches_by_path:
             with _span("p1.match", shard=shard.index), Timer() as t1:
-                # φ = 0: the unpruned match set serves every φ in the group.
-                matches_by_path[key] = _shard_matches(shard, motif, 0.0)
+                matches_by_path[key] = _shard_matches(shard, motif, *bounds[key])
             out.p1_seconds = t1.elapsed
         matches = matches_by_path[key]
         out.num_matches = len(matches)

@@ -28,7 +28,11 @@ class TestSearchResult:
         result = fig2_engine.find_instances(triangle)
         assert result.motif is triangle
         assert result.count == len(result.instances) == 1
-        assert result.num_matches == 6
+        # Table 4's unpruned count; the search examines only the feasible
+        # matches, at least those hosting an instance.
+        assert len(fig2_engine.structural_matches(triangle)) == 6
+        hosting = {i.vertex_map for i in result.instances}
+        assert len(hosting) <= result.num_matches <= 6
         assert result.p1_seconds >= 0.0
         assert result.p2_seconds >= 0.0
         assert result.total_seconds == result.p1_seconds + result.p2_seconds
@@ -50,26 +54,28 @@ class TestSearchResult:
         assert loose.count == 0
 
 
-class TestMatchCache:
-    def test_cache_returns_equal_matches(self, fig2_engine, triangle):
+class TestStructuralMatches:
+    def test_repeated_calls_return_equal_matches(self, fig2_engine, triangle):
         first = fig2_engine.structural_matches(triangle)
         second = fig2_engine.structural_matches(triangle)
         assert first == second
 
-    def test_cache_shared_across_constraints(self, fig2_graph):
+    def test_independent_of_constraints(self, fig2_graph):
         engine = FlowMotifEngine(fig2_graph)
         a = Motif.cycle(3, delta=10, phi=7)
         b = Motif.cycle(3, delta=99, phi=0)
-        engine.structural_matches(a)
+        walks = [m.walk for m in engine.structural_matches(a)]
         matches = engine.structural_matches(b)
-        # Served from the shape cache, but rebound to motif b.
+        # Same unpruned set whatever δ/φ, bound to the requested motif.
         assert all(m.motif is b for m in matches)
+        assert [m.walk for m in matches] == walks
         assert len(matches) == 6
 
-    def test_cache_can_be_cleared(self, fig2_engine, triangle):
-        fig2_engine.structural_matches(triangle)
-        fig2_engine.clear_cache()
-        assert fig2_engine.structural_matches(triangle, use_cache=False)
+    def test_engine_keeps_no_match_state(self, fig2_engine, triangle):
+        fig2_engine.find_instances(triangle)
+        assert not hasattr(fig2_engine, "clear_cache")
+        assert not hasattr(fig2_engine, "_match_cache")
+        assert len(fig2_engine.structural_matches(triangle)) == 6
 
     def test_count_matches_find(self, fig7_engine, triangle_phi0):
         count = fig7_engine.count_instances(triangle_phi0)

@@ -1,4 +1,4 @@
-"""The fused search pipeline and match-feasibility prechecks."""
+"""The pruned search pipeline and match-feasibility prechecks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.engine import FlowMotifEngine
-from repro.core.enumeration import match_is_feasible
+from repro.core.enumeration import find_instances, match_is_feasible
 from repro.core.matching import find_structural_matches, iter_structural_matches
 from repro.core.motif import Motif, paper_motifs
 from repro.graph.interaction import InteractionGraph
@@ -59,9 +59,7 @@ class TestPrunedMatching:
         full = set()
         for m in find_structural_matches(ts, motif):
             full.add(m.vertex_map)
-        pruned = list(
-            iter_structural_matches(ts, motif, phi=2, temporal_pruning=True)
-        )
+        pruned = list(iter_structural_matches(ts, motif, delta=15, phi=2))
         assert {m.vertex_map for m in pruned} <= full
         for m in pruned:
             assert match_is_feasible(m.series, 2)
@@ -75,45 +73,47 @@ class TestPrunedMatching:
         motif = Motif.chain(3, delta=12, phi=1)
         pruned_maps = {
             m.vertex_map
-            for m in iter_structural_matches(
-                ts, motif, phi=1, temporal_pruning=True
-            )
+            for m in iter_structural_matches(ts, motif, delta=12, phi=1)
         }
         for match in find_structural_matches(ts, motif):
             if find_instances_in_match(match):
                 assert match.vertex_map in pruned_maps
 
 
-class TestFusedEngineMode:
+def two_phase(engine, motif, **overrides):
+    """The paper's two phases: unpruned P1, then P2 over the list."""
+    return find_instances(engine.structural_matches(motif), **overrides)
+
+
+class TestPipelineEngine:
     @pytest.mark.parametrize("seed", range(6))
-    def test_fused_equals_cached(self, seed):
+    def test_pipeline_equals_two_phase(self, seed):
         g = random_graph(seed)
         motif = Motif.chain(3, delta=12, phi=2)
         engine = FlowMotifEngine(g)
-        cached = engine.find_instances(motif, use_cache=True)
-        fused = engine.find_instances(motif, use_cache=False)
-        assert {i.canonical_key() for i in cached.instances} == {
+        reference = two_phase(engine, motif)
+        fused = engine.find_instances(motif)
+        assert {i.canonical_key() for i in reference} == {
             i.canonical_key() for i in fused.instances
         }
 
-    def test_fused_catalog_on_fixture(self, fig2_graph):
+    def test_pipeline_catalog_on_fixture(self, fig2_graph):
         engine = FlowMotifEngine(fig2_graph)
         for name, motif in paper_motifs(delta=10, phi=5).items():
-            cached = engine.find_instances(motif, use_cache=True)
-            fused = engine.find_instances(motif, use_cache=False)
-            assert cached.count == fused.count, name
+            reference = two_phase(engine, motif)
+            fused = engine.find_instances(motif)
+            assert len(reference) == fused.count, name
 
-    def test_fused_reports_fewer_matches(self):
+    def test_pipeline_reports_fewer_matches(self):
         g = random_graph(11, nodes=8, events=50)
         motif = Motif.chain(4, delta=5, phi=3)
         engine = FlowMotifEngine(g)
-        cached = engine.find_instances(motif, use_cache=True)
-        fused = engine.find_instances(motif, use_cache=False)
-        assert fused.num_matches <= cached.num_matches
-        assert fused.count == cached.count
+        fused = engine.find_instances(motif)
+        assert fused.num_matches <= len(engine.structural_matches(motif))
+        assert fused.count == len(two_phase(engine, motif))
 
-    def test_fused_with_overrides(self, fig7_graph):
+    def test_pipeline_with_overrides(self, fig7_graph):
         engine = FlowMotifEngine(fig7_graph)
         motif = Motif.cycle(3, delta=999, phi=99)
-        fused = engine.find_instances(motif, delta=10, phi=5, use_cache=False)
+        fused = engine.find_instances(motif, delta=10, phi=5)
         assert fused.count == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.matching import find_structural_matches
+from repro.core.matching import find_structural_matches, iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 
@@ -122,3 +122,55 @@ class TestMatchContents:
         ts = graph_of(("a", "b"), ("c", "d")).to_time_series()
         matches = find_structural_matches(ts, Motif.chain(2, 1))
         assert {m.walk for m in matches} == {("a", "b"), ("c", "d")}
+
+
+def chain4(e1, e2, e3):
+    """The a→b→c→d chain graph with the given times on its three pairs."""
+    g = InteractionGraph()
+    pairs = (("a", "b"), ("b", "c"), ("c", "d"))
+    for (src, dst), times in zip(pairs, (e1, e2, e3)):
+        for t in times:
+            g.add_interaction(src, dst, float(t), 1.0)
+    return g.to_time_series()
+
+
+def kept(ts, delta, anchor_range=None):
+    """Whether the δ-aware P1 keeps the a→b→c→d chain match."""
+    motif = Motif.chain(4, delta)
+    return any(
+        m.walk == ("a", "b", "c", "d")
+        for m in iter_structural_matches(
+            ts, motif, delta=delta, anchor_range=anchor_range
+        )
+    )
+
+
+class TestAnchorFrontier:
+    def test_window_ending_exactly_at_delta_is_kept(self):
+        assert kept(chain4([0], [1], [2]), delta=2)
+        assert not kept(chain4([0], [1], [2]), delta=1.5)
+
+    def test_ties_do_not_chain(self):
+        # Strictly later: a tie between consecutive edges is no chain.
+        assert not kept(chain4([0], [1], [1]), delta=10)
+
+    def test_later_anchor_rescues_the_match(self):
+        # From anchor 0 the chain ends at 3 > 0 + 2; from anchor 1 it fits.
+        # Both anchors reach 2 on the second edge: the merge keeps 1.
+        assert kept(chain4([0, 1], [2], [3]), delta=2)
+
+    def test_earlier_anchor_survives_a_dead_later_one(self):
+        # Anchor 3 has no later second-edge element; anchor 0 still chains.
+        assert kept(chain4([0, 3], [1], [2]), delta=2)
+
+    def test_chain_outside_every_window_is_pruned(self):
+        # A δ-blind greedy chain exists (0 → 5 → 10) but spans 10 > δ.
+        ts = chain4([0], [5], [10])
+        assert not kept(ts, delta=9)
+        assert len(find_structural_matches(ts, Motif.chain(4, 9))) == 1
+
+    def test_anchor_range_is_half_open(self):
+        ts = chain4([0, 4], [5], [6])
+        assert kept(ts, delta=2, anchor_range=(4, 5))
+        assert not kept(ts, delta=2, anchor_range=(0, 4))
+        assert not kept(ts, delta=10, anchor_range=(1, 4))

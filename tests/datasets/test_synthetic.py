@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.engine import FlowMotifEngine
@@ -28,6 +30,26 @@ class TestDeterminism:
         a = generator(scale=0.3, seed=5)
         b = generator(scale=0.3, seed=6)
         assert a.interactions_sorted() != b.interactions_sorted()
+
+
+def graph_digest(graph) -> str:
+    """Order-free digest of a graph's interactions."""
+    rows = sorted(
+        (repr(i.src), repr(i.dst), i.time, i.flow) for i in graph.interactions()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestFacebookCommunities:
+    def test_cascade_in_empty_community(self):
+        # At this scale a cascade draws a community that has no members;
+        # it is planted on its unremapped pattern path instead of failing.
+        graph = facebook_like(scale=40, seed=0)
+        assert graph.num_edges > 0
+
+    def test_default_graph_unchanged(self):
+        assert graph_digest(facebook_like()) == "51beaf27744ff44a"
+        assert graph_digest(facebook_like(scale=0.4, seed=3)) == "024d0cd454e2b501"
 
 
 class TestStatisticalShape:

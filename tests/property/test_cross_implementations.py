@@ -125,9 +125,9 @@ def test_fused_pipeline_equals_two_phase(graph, motif):
     from repro.core.engine import FlowMotifEngine
 
     engine = FlowMotifEngine(graph)
-    cached = engine.find_instances(motif, use_cache=True)
-    fused = engine.find_instances(motif, use_cache=False)
-    assert instance_keys(cached.instances) == instance_keys(fused.instances)
+    two_phase = find_instances(engine.structural_matches(motif))
+    fused = engine.find_instances(motif)
+    assert instance_keys(two_phase) == instance_keys(fused.instances)
 
 
 @settings(max_examples=40, deadline=None)

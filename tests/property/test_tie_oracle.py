@@ -1,0 +1,128 @@
+"""Tie-heavy differential test of every search path against the oracle.
+
+Integer timestamps in ``[0, 4]`` make tied events the common case, δ is
+drawn from ``{0}`` and the actual inter-event gaps (so windows end exactly
+on events), and the parallel engine cuts the timeline both at event-count
+quantiles (cuts on events) and into equal widths (cores holding no event).
+Every search path must equal the brute-force oracle of
+:mod:`repro.baselines.bruteforce` as a canonical-key multiset:
+
+* serial find and count;
+* top-k against the sorted φ = 0 find, and the DP top-1 flow against its
+  best instance;
+* thread-backend parallel find, count and top-k over 1–8 shards.
+
+The δ-aware phase P1 is checked directly as well: its matches are a subset
+of the unpruned ones, and it keeps every match hosting an oracle instance.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines.bruteforce import brute_force_instances
+from repro.core.engine import FlowMotifEngine
+from repro.core.matching import find_structural_matches, iter_structural_matches
+from repro.core.motif import Motif
+from repro.graph.interaction import InteractionGraph
+from repro.parallel import ParallelFlowMotifEngine
+
+#: Spanning paths of M(2,1), M(3,2), M(3,3) and M(4,3).
+SHAPES = [(0, 1), (0, 1, 2), (0, 1, 2, 0), (0, 1, 2, 3)]
+
+
+@st.composite
+def cases(draw):
+    num_nodes = draw(st.integers(2, 4))
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_nodes - 1),
+                st.integers(1, num_nodes - 1),  # dst offset: no self-loops
+                st.integers(0, 4),
+                st.integers(1, 4),
+            ).map(lambda e: (e[0], (e[0] + e[1]) % num_nodes, e[2], e[3])),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    times = sorted({t for _, _, t, _ in events})
+    gaps = sorted({b - a for a in times for b in times if b > a})
+    delta = draw(st.sampled_from([0] + gaps))
+    phi = draw(st.sampled_from([0, 3]))
+    motif = Motif(draw(st.sampled_from(SHAPES)), delta, phi)
+    return InteractionGraph.from_tuples(events), motif
+
+
+def keys(instances):
+    return Counter(i.canonical_key() for i in instances)
+
+
+def key_flow(key):
+    """Instance flow of an oracle key: the smallest edge-set flow."""
+    return min(sum(f for _, f in edge_set) for edge_set in key[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+def test_serial_paths_equal_oracle(case):
+    graph, motif = case
+    ts = graph.to_time_series()
+    oracle = brute_force_instances(ts, motif)
+    engine = FlowMotifEngine(graph)
+
+    found = engine.find_instances(motif)
+    assert keys(found.instances) == Counter(oracle)
+    assert engine.count_instances(motif).count == len(oracle)
+
+    # Top-k and DP ignore φ: compare them with the φ = 0 search.
+    unfiltered = engine.find_instances(motif, phi=0)
+    oracle0 = brute_force_instances(ts, motif, phi=0)
+    assert keys(unfiltered.instances) == Counter(oracle0)
+    flows = sorted((i.flow for i in unfiltered.instances), reverse=True)
+    assert flows == sorted(map(key_flow, oracle0), reverse=True)
+    for k in (1, 3):
+        top = engine.top_k(motif, k)
+        assert [i.flow for i in top] == flows[:k]
+        assert all(i.canonical_key() in oracle0 for i in top)
+    assert engine.top_one_dp(motif).flow == (flows[0] if flows else 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+def test_pruned_matches_keep_every_hosting_match(case):
+    graph, motif = case
+    ts = graph.to_time_series()
+    oracle = brute_force_instances(ts, motif)
+    pruned = Counter(
+        m.vertex_map
+        for m in iter_structural_matches(
+            ts, motif, delta=motif.delta, phi=motif.phi
+        )
+    )
+    unpruned = Counter(m.vertex_map for m in find_structural_matches(ts, motif))
+    assert pruned <= unpruned
+    assert {key[0] for key in oracle} <= set(pruned)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=cases(),
+    shards=st.integers(1, 8),
+    strategy=st.sampled_from(["events", "width"]),
+)
+def test_parallel_paths_equal_oracle(case, shards, strategy):
+    graph, motif = case
+    ts = graph.to_time_series()
+    oracle = brute_force_instances(ts, motif)
+    serial_top = FlowMotifEngine(graph).top_k(motif, 3)
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=shards, backend="thread",
+        partition_strategy=strategy,
+    ) as engine:
+        assert keys(engine.find_instances(motif).instances) == Counter(oracle)
+        assert engine.count_instances(motif).count == len(oracle)
+        top = engine.top_k(motif, 3)
+    assert [i.flow for i in top] == [i.flow for i in serial_top]
