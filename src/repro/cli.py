@@ -135,7 +135,11 @@ def _cmd_find(args: argparse.Namespace) -> int:
             print(f"error: cannot open store: {exc}", file=sys.stderr)
             return 2
     else:
-        graph = graph_io.read_csv(args.edges, on_error=args.on_error)
+        try:
+            graph = graph_io.read_csv(args.edges, on_error=args.on_error)
+        except graph_io.InteractionFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         motif = Motif.from_string(args.motif, args.delta, args.phi)
     except ValueError as exc:

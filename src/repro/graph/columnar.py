@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.graph.events import Node
 from repro.graph.timeseries import EdgeSeries, TimeSeriesGraph
@@ -202,9 +204,6 @@ class ColumnStore:
         self.flows = flows
         self.cum = cum
         self.offsets = offsets
-        self._slot_by_pair: Dict[Tuple[Node, Node], int] = {
-            pair: slot for slot, pair in enumerate(pairs)
-        }
         self._shm = shm
         self._owns_shm = owns_shm
         #: Pid of the exporting process (set on attach; None otherwise).
@@ -292,8 +291,12 @@ class ColumnStore:
         return self._shm.name if self._shm is not None else None
 
     def slot(self, src: Node, dst: Node) -> Optional[int]:
-        """The slot of pair ``(src, dst)``, or None when absent."""
-        return self._slot_by_pair.get((src, dst))
+        """The slot of pair ``(src, dst)``, or None when absent (a linear
+        scan: the search paths never look a slot up by pair)."""
+        try:
+            return self.pairs.index((src, dst))
+        except ValueError:
+            return None
 
     def __repr__(self) -> str:
         backing = (
@@ -308,25 +311,34 @@ class ColumnStore:
     # Views
     # ------------------------------------------------------------------
 
-    def series_view(self, slot: int) -> ColumnarEdgeSeries:
-        """The zero-copy :class:`ColumnarEdgeSeries` for one slot."""
-        src, dst = self.pairs[slot]
-        lo = self.offsets[slot]
-        hi = self.offsets[slot + 1]
-        # Slot i's cum block carries one extra leading element per
-        # preceding series, hence the +slot shift.
-        return ColumnarEdgeSeries(
-            src,
-            dst,
-            self.times[lo:hi],
-            self.flows[lo:hi],
-            self.cum[lo + slot : hi + slot + 1],
-            slot,
-        )
+    def window(
+        self, start: float, end: float
+    ) -> Iterator[Tuple[ColumnarEdgeSeries, int]]:
+        """Zero-copy views of every series' events with ``start <= t <= end``.
 
-    def iter_series(self) -> Iterable[ColumnarEdgeSeries]:
-        """All series views in slot order."""
-        return (self.series_view(slot) for slot in range(self.num_series))
+        Yields ``(view, first)`` in slot order, where ``first`` is the
+        index of the view's first event within its full series; series
+        with no event in the window are skipped. One pass over the slots,
+        two bisections of the flat ``times`` column per slot, and no view
+        for a slot outside the window.
+        """
+        times, flows, cum, offsets = self.times, self.flows, self.cum, self.offsets
+        for slot, (src, dst) in enumerate(self.pairs):
+            first, last = offsets[slot], offsets[slot + 1]
+            lo = bisect_left(times, start, first, last)
+            hi = bisect_right(times, end, lo, last)
+            if lo < hi:
+                # Slot i's cum block carries one extra leading element per
+                # preceding series, hence the +slot shift.
+                view = ColumnarEdgeSeries(
+                    src,
+                    dst,
+                    times[lo:hi],
+                    flows[lo:hi],
+                    cum[lo + slot : hi + slot + 1],
+                    slot,
+                )
+                yield view, lo - first
 
     def to_graph(self) -> TimeSeriesGraph:
         """A :class:`TimeSeriesGraph` whose series are zero-copy views.
@@ -334,7 +346,9 @@ class ColumnStore:
         The returned graph keeps a reference to this store (and therefore
         to its shared-memory mapping, when present) alive for its lifetime.
         """
-        graph = TimeSeriesGraph(self.iter_series())
+        graph = TimeSeriesGraph(
+            view for view, _ in self.window(-math.inf, math.inf)
+        )
         graph._column_store = self  # keep the backing buffers alive
         return graph
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import mmap
 import os
 import struct
@@ -247,7 +248,7 @@ class _MappedSegmentFile:
 class SegmentColumnStore(ColumnStore):
     """A :class:`ColumnStore` whose buffers are an mmap of a sealed file.
 
-    Identical query surface — :meth:`~ColumnStore.series_view` returns
+    Identical query surface — :meth:`~ColumnStore.window` returns
     the same zero-copy :class:`~repro.graph.columnar.ColumnarEdgeSeries`
     — but the backing pages are demand-loaded by the OS, so a store much
     larger than RAM opens instantly and only the touched ranges occupy
@@ -580,11 +581,11 @@ def _merge_stores(stores: Sequence[ColumnStore]) -> ColumnStore:
     order: List[Tuple] = []
     sources: Dict[Tuple, List[Tuple[memoryview, memoryview]]] = {}
     for store in stores:
-        for slot, pair in enumerate(store.pairs):
+        for view, _ in store.window(-math.inf, math.inf):
+            pair = (view.src, view.dst)
             if pair not in sources:
                 sources[pair] = []
                 order.append(pair)
-            view = store.series_view(slot)
             sources[pair].append((view.times, view.flows))
     times = array("d")
     flows = array("d")

@@ -14,11 +14,11 @@ to exactly one owning shard. This package builds on that observation:
   count, top-k, batch) that a :class:`~concurrent.futures.Executor` can
   pickle, plus the ``"columnar"`` zero-copy envelope: process workers
   receive ``(shm_name, shard bounds)``, attach the shared
-  :class:`~repro.graph.columnar.ColumnStore` once per process, and slice
-  their shard as memoryviews over the shared block;
-* :mod:`repro.parallel.merge` — the **deduplicating merger** that rebinds
-  shard-local instances onto the parent graph's series and aggregates
-  per-shard timings;
+  :class:`~repro.graph.columnar.ColumnStore` once per process, and build
+  their shard straight from its columns as memoryview views;
+* :mod:`repro.parallel.merge` — the **deduplicating merger** that binds
+  the workers' parent-indexed instance records onto the parent graph's
+  series and aggregates per-shard timings;
 * :mod:`repro.parallel.engine` — :class:`ParallelFlowMotifEngine`, a
   drop-in mirror of :class:`~repro.core.engine.FlowMotifEngine`
   (``find_instances`` / ``count_instances`` / ``top_k``) fanning shards out

@@ -335,7 +335,7 @@ class BatchRunner:
         results: List[SearchResult] = []
         for config, outputs in zip(configs, per_config):
             result = _merge.merge_search_results(
-                config.motif, shards, outputs, self._ts
+                config.motif, outputs, self._ts
             )
             self._engine._observe_costs(shards, result)
             results.append(result)

@@ -24,7 +24,7 @@ Backends
     exported once into a shared-memory
     :class:`~repro.graph.columnar.ColumnStore` and each worker receives
     only ``(shm_name, shard bounds)`` — zero-copy fan-out; workers
-    rebuild their slice as memoryview views over the shared block.
+    slice the shared columns into memoryview views of their shard.
     Results must still pickle (they do for all built-in node types;
     pass ``backend="thread"`` for exotic ones).
 ``"thread"``
@@ -62,8 +62,8 @@ from repro.parallel import worker as _worker
 from repro.parallel.costmodel import ShardCostModel
 from repro.parallel.partition import (
     TimeShard,
-    materialize_shard,
     partition_time_range,
+    slice_shard,
 )
 from repro.resilience.retry import (
     DispatchReport,
@@ -238,9 +238,8 @@ class ParallelFlowMotifEngine:
             halo,
             strategy=self.partition_strategy,
             sorted_times=self._sorted_times,
-            # Zero-copy mode keeps parent-side shards light (bounds +
-            # rebinding offsets, no sliced copies): workers re-slice
-            # their own views of the shared columnar store.
+            # Zero-copy mode keeps parent-side shards light (bounds
+            # only, no per-series pass): workers slice the column store.
             materialize=not self._zero_copy,
             cut_points=cuts,
         )
@@ -380,9 +379,7 @@ class ParallelFlowMotifEngine:
                 ]
         for shard in shards:
             if shard.graph is None:
-                shard.graph = materialize_shard(
-                    self._ts, shard.bounds, zero_copy=False
-                ).graph
+                slice_shard(shard, self._ts)
         return [(kind, shard) + args for shard in shards]
 
     def _wrap_traced(self, tasks: Sequence[Tuple]) -> Sequence[Tuple]:
@@ -613,7 +610,7 @@ class ParallelFlowMotifEngine:
                 )
                 outputs = self._dispatch(tasks)
             result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=wall.elapsed
+                motif, outputs, self._ts, wall_seconds=wall.elapsed
             )
             self._observe_costs(shards, result)
             return result
@@ -641,7 +638,7 @@ class ParallelFlowMotifEngine:
                 )
                 outputs = self._dispatch(tasks)
             result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=wall.elapsed
+                motif, outputs, self._ts, wall_seconds=wall.elapsed
             )
             self._observe_costs(shards, result)
             return result
@@ -678,4 +675,4 @@ class ParallelFlowMotifEngine:
                 shards, "top_k", motif, k, effective_delta
             )
             outputs = self._dispatch(tasks)
-            return _merge.merge_top_k(motif, shards, outputs, self._ts, k)
+            return _merge.merge_top_k(motif, outputs, self._ts, k)

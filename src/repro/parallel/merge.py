@@ -2,12 +2,14 @@
 
 The merger performs three jobs:
 
-1. **Rebinding** — shard workers return instances as shard-local
-   ``(vertex_map, (lo, hi) per edge)`` records; rebinding maps the index
-   ranges onto the parent graph's own :class:`EdgeSeries` via the slice
-   offsets recorded at partition time, so merged instances are
-   indistinguishable from serially-found ones (``is_valid_instance`` and
-   ``is_maximal`` hold against the parent graph).
+1. **Rebinding** — shard workers return instances as
+   ``(vertex_map, (lo, hi) per edge)`` records whose index ranges the
+   worker already rebased onto the parent series; rebinding attaches
+   them to the parent graph's own :class:`EdgeSeries`, so merged
+   instances are indistinguishable from serially-found ones
+   (``is_valid_instance`` and ``is_maximal`` hold against the parent
+   graph). The merger needs no per-shard offsets, so a light shard
+   (bounds only) is all the parent ever holds for a process worker.
 2. **Deduplication** — the anchored-ownership rule makes every instance
    owned by exactly one shard, so duplicates cannot arise from a correct
    partition; the merger still drops canonical-key duplicates as a safety
@@ -23,7 +25,7 @@ reproducible across backends and job counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.engine import SearchResult
 from repro.core.instance import MotifInstance, Run
@@ -31,7 +33,6 @@ from repro.core.motif import Motif
 from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
-from repro.parallel.partition import TimeShard
 from repro.parallel.worker import InstanceRecord, ShardSearchOutput
 from repro.utils.timing import ShardTiming, ShardTimingReport
 
@@ -39,10 +40,10 @@ from repro.utils.timing import ShardTiming, ShardTimingReport
 def rebind_record(
     record: InstanceRecord,
     motif: Motif,
-    shard: TimeShard,
+    shard_index: int,
     parent: TimeSeriesGraph,
 ) -> MotifInstance:
-    """Rebind one shard-local record onto the parent graph's series."""
+    """Bind one parent-indexed record onto the parent graph's series."""
     vertex_map, ranges = record
     runs: List[Run] = []
     for edge_index, (lo, hi) in enumerate(ranges):
@@ -51,11 +52,10 @@ def rebind_record(
         series = parent.series(*pair)
         if series is None:
             raise ValueError(
-                f"shard {shard.index} produced an instance on pair {pair} "
+                f"shard {shard_index} produced an instance on pair {pair} "
                 "absent from the parent graph"
             )
-        offset = shard.offsets[pair]
-        runs.append(Run(series, lo + offset, hi + offset))
+        runs.append(Run(series, lo, hi))
     return MotifInstance(motif, vertex_map, runs)
 
 
@@ -69,9 +69,28 @@ def _instance_sort_key(instance: MotifInstance) -> Tuple:
     )
 
 
+def _rebind_unique(
+    motif: Motif,
+    outputs: Sequence[ShardSearchOutput],
+    parent: TimeSeriesGraph,
+) -> Tuple[List[MotifInstance], int]:
+    """Every shard's records bound onto ``parent`` in shard order, minus
+    canonical-key duplicates; returns the instances and the number of
+    duplicates dropped."""
+    instances: List[MotifInstance] = []
+    seen: set = set()
+    for output in sorted(outputs, key=lambda o: o.shard_index):
+        for record in output.records:
+            instance = rebind_record(record, motif, output.shard_index, parent)
+            key = instance.canonical_key()
+            if key not in seen:
+                seen.add(key)
+                instances.append(instance)
+    return instances, sum(len(o.records) for o in outputs) - len(instances)
+
+
 def merge_search_results(
     motif: Motif,
-    shards: Sequence[TimeShard],
     outputs: Sequence[ShardSearchOutput],
     parent: TimeSeriesGraph,
     wall_seconds: float = 0.0,
@@ -82,9 +101,6 @@ def merge_search_results(
     ----------
     motif:
         The searched motif (becomes the merged result's motif).
-    shards:
-        The partition the outputs were produced from (indexable by
-        ``output.shard_index``).
     outputs:
         One :class:`ShardSearchOutput` per shard, any order.
     parent:
@@ -93,22 +109,10 @@ def merge_search_results(
         Elapsed fan-out/merge time measured by the caller, recorded on the
         timing report.
     """
-    by_index: Dict[int, TimeShard] = {s.index: s for s in shards}
     result = SearchResult(motif=motif)
     timings: List[ShardTiming] = []
-    instances: List[MotifInstance] = []
-    seen: set = set()
-    duplicates = 0
+    instances, duplicates = _rebind_unique(motif, outputs, parent)
     for output in sorted(outputs, key=lambda o: o.shard_index):
-        shard = by_index[output.shard_index]
-        for record in output.records:
-            instance = rebind_record(record, motif, shard, parent)
-            key = instance.canonical_key()
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            instances.append(instance)
         result.num_matches += output.num_matches
         result.p1_seconds += output.p1_seconds
         result.p2_seconds += output.p2_seconds
@@ -153,7 +157,6 @@ def merge_search_results(
 
 def merge_top_k(
     motif: Motif,
-    shards: Sequence[TimeShard],
     outputs: Sequence[ShardSearchOutput],
     parent: TimeSeriesGraph,
     k: int,
@@ -167,17 +170,6 @@ def merge_top_k(
     vertex map), which may differ from the serial engine's insertion-order
     tie-break — the returned *flows* always agree.
     """
-    by_index: Dict[int, TimeShard] = {s.index: s for s in shards}
-    candidates: List[MotifInstance] = []
-    seen: set = set()
-    for output in sorted(outputs, key=lambda o: o.shard_index):
-        shard = by_index[output.shard_index]
-        for record in output.records:
-            instance = rebind_record(record, motif, shard, parent)
-            key = instance.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(instance)
+    candidates, _ = _rebind_unique(motif, outputs, parent)
     candidates.sort(key=lambda inst: (-inst.flow,) + _instance_sort_key(inst))
     return candidates[:k]

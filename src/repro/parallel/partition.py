@@ -29,19 +29,27 @@ Why a δ-halo on **both** sides makes sharded output exact:
 
 Shard series are contiguous index slices of the parent series, and
 :class:`EdgeSeries` sorts stably, so a shard-local run ``[lo, hi]`` maps
-back to the parent series as ``[lo + offset, hi + offset]`` — the merger
-uses the recorded per-pair offsets to rebind instances onto the parent
-graph (:mod:`repro.parallel.merge`).
+back to the parent series as ``[lo + offset, hi + offset]``. A shard
+records each slice's ``offset`` and the worker rebases its records with
+it, so what reaches the merger (:mod:`repro.parallel.merge`) is already
+indexed into the parent series.
 
-Two materialization modes exist. ``materialize=True`` (default) slices the
-parent series into per-shard copies — the payload the thread/serial
-backends use directly. ``materialize=False`` produces *light* shards
-(``graph=None``): only the cut bounds and rebinding offsets, computed with
-bisects and no copying. The process backend ships light-shard bounds plus
-a shared-memory name; each worker re-materializes its slice as zero-copy
-memoryview views over the attached :class:`~repro.graph.columnar.
-ColumnStore` (:func:`materialize_shard`). Both modes cut identically, so
-worker-side slices line up exactly with the parent-side offsets.
+There is one way to materialize a shard per backing:
+
+* list-backed — :func:`partition_time_range` with ``materialize=True``
+  (default), or :func:`slice_shard` on a light shard, copies each parent
+  series' slice into a list-backed :class:`EdgeSeries`. The thread and
+  serial backends and the pickled process transport use these.
+* column-backed — :func:`materialize_shard` slices the flat columns of a
+  :class:`~repro.graph.columnar.ColumnStore` (a shared-memory block or a
+  mapped segment file) into zero-copy memoryview views, inside a process
+  worker.
+
+With ``materialize=False`` the parent builds *light* shards
+(``graph=None``) that carry only their cut bounds: the process backend
+ships those bounds plus the store's name, and the worker builds the rest.
+Both backings bisect the same ``[core_start - halo, core_end + halo]``
+window, so they hold the same events in the same order.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import EdgeSeries, TimeSeriesGraph
@@ -75,11 +84,12 @@ class TimeShard:
     graph:
         The sliced :class:`TimeSeriesGraph` holding every event in
         ``[core_start - halo, core_end + halo]`` — or ``None`` for a
-        *light* shard, whose slice is re-materialized inside the worker
-        from a shared-memory :class:`~repro.graph.columnar.ColumnStore`.
+        *light* shard, whose slice is materialized inside the worker
+        from a :class:`~repro.graph.columnar.ColumnStore`.
     offsets:
         Per (src, dst) pair, the parent-series index of the slice's first
-        element — the rebinding map used by the merger.
+        element, which the worker adds to its records' index ranges.
+        Empty on a light shard.
     """
 
     index: int
@@ -92,8 +102,8 @@ class TimeShard:
 
     @property
     def bounds(self) -> Tuple[int, int, float, float, float]:
-        """The picklable payload a process worker needs to re-materialize
-        this shard against an attached columnar store."""
+        """The picklable payload a process worker needs to materialize
+        this shard from a column store (:func:`materialize_shard`)."""
         return (
             self.index,
             self.num_shards,
@@ -151,40 +161,21 @@ def _cut_points(
     return cuts
 
 
-def _slice_all_series(
-    all_series: List[EdgeSeries],
-    data_start: float,
-    data_end: float,
-    materialize: bool,
-    zero_copy: bool = False,
-) -> Tuple[List[EdgeSeries], Dict[Pair, int]]:
-    """One shard's per-series cut: slices (when materializing) + offsets.
+def slice_shard(shard: TimeShard, graph: TimeSeriesGraph) -> None:
+    """Give a light shard its list-backed slice of ``graph``, in place.
 
-    The single source of truth for where a shard's slice begins — used by
-    both :func:`partition_time_range` (parent side, records the rebinding
-    offsets) and :func:`materialize_shard` (worker side, produces the
-    slices) so the two can never drift apart.
-
-    ``zero_copy=True`` (worker side) dispatches to the series' own
-    ``slice`` — memoryview views for columnar backings. The parent-side
-    default forces list-backed copies even off a columnar graph, because
-    materialized shards may be pickled (process backend with shared
-    memory disabled) and memoryviews cannot be.
+    The slices are list-backed copies even off a columnar graph, because
+    these shards may be pickled (process backend with shared memory
+    disabled) and memoryviews cannot be.
     """
+    start, end = shard.core_start - shard.halo, shard.core_end + shard.halo
     sliced: List[EdgeSeries] = []
-    offsets: Dict[Pair, int] = {}
-    for series in all_series:
-        lo, hi = series.indices_in_interval(data_start, data_end)
-        if hi < lo:
-            continue
-        if materialize:
-            sliced.append(
-                series.slice(lo, hi)
-                if zero_copy
-                else EdgeSeries.slice(series, lo, hi)
-            )
-        offsets[(series.src, series.dst)] = lo
-    return sliced, offsets
+    for series in graph.all_series():
+        lo, hi = series.indices_in_interval(start, end)
+        if lo <= hi:
+            sliced.append(EdgeSeries.slice(series, lo, hi))
+            shard.offsets[(series.src, series.dst)] = lo
+    shard.graph = TimeSeriesGraph(sliced)
 
 
 def partition_time_range(
@@ -221,9 +212,10 @@ def partition_time_range(
     materialize:
         ``True`` (default) builds per-shard sliced copies of the series —
         what thread/serial workers consume directly. ``False`` builds
-        light shards (``graph=None``) carrying only bounds and rebinding
-        offsets: the zero-copy process backend ships those bounds and has
-        each worker slice its own view of the shared columnar store.
+        light shards (``graph=None``) carrying only their bounds, with no
+        per-series pass: the zero-copy process backend ships those bounds
+        and each worker slices the column store itself
+        (:func:`materialize_shard`).
     cut_points:
         Explicit interior boundaries overriding ``strategy`` — the hook
         for cost-adaptive sharding
@@ -249,9 +241,8 @@ def partition_time_range(
             f"got {type(graph).__name__}"
         )
 
-    all_series = ts.all_series()
     times: List[float] = (
-        sorted(t for series in all_series for t in series.times)
+        sorted(t for series in ts.all_series() for t in series.times)
         if sorted_times is None
         else sorted_times
     )
@@ -268,55 +259,42 @@ def partition_time_range(
         cuts = _cut_points(times, num_shards, strategy)
 
     bounds = [-math.inf] + cuts + [math.inf]
-    shards: List[TimeShard] = []
     total = len(bounds) - 1
-    for i in range(total):
-        core_start, core_end = bounds[i], bounds[i + 1]
-        sliced, offsets = _slice_all_series(
-            all_series, core_start - halo, core_end + halo, materialize
+    shards = [
+        TimeShard(
+            index=i,
+            num_shards=total,
+            core_start=bounds[i],
+            core_end=bounds[i + 1],
+            halo=halo,
+            graph=None,
         )
-        shards.append(
-            TimeShard(
-                index=i,
-                num_shards=total,
-                core_start=core_start,
-                core_end=core_end,
-                halo=halo,
-                graph=TimeSeriesGraph(sliced) if materialize else None,
-                offsets=offsets,
-            )
-        )
+        for i in range(total)
+    ]
+    if materialize:
+        for shard in shards:
+            slice_shard(shard, ts)
     return shards
 
 
 def materialize_shard(
-    graph: TimeSeriesGraph,
-    bounds: Tuple[int, int, float, float, float],
-    zero_copy: bool = True,
+    store: ColumnStore, bounds: Tuple[int, int, float, float, float]
 ) -> TimeShard:
-    """Rebuild one shard's slice against an attached graph (worker side).
+    """Build one shard straight from a column store (worker side).
 
-    ``bounds`` is :attr:`TimeShard.bounds`; ``graph`` is typically the
-    columnar view of a shared-memory store, in which case every slice is
-    a zero-copy memoryview over the shared buffers. The bisection is the
-    same one :func:`partition_time_range` performs, so shard-local index
-    ranges line up exactly with the parent-side rebinding offsets.
-
-    ``zero_copy=False`` forces list-backed slices — what the engine uses
-    when a light shard ends up on the inline/pickled path, where the
-    result may have to pickle.
+    ``bounds`` is :attr:`TimeShard.bounds`. One pass over the store's
+    slots (:meth:`~repro.graph.columnar.ColumnStore.window`) bisects each
+    slot's events against the shard's data window and builds zero-copy
+    memoryview views only for the series that overlap it; the offsets it
+    records are the views' starts within the full series, which the
+    worker uses to ship parent-indexed records.
     """
-    index, num_shards, core_start, core_end, halo = bounds
-    sliced, offsets = _slice_all_series(
-        graph.all_series(), core_start - halo, core_end + halo, True,
-        zero_copy=zero_copy,
-    )
-    return TimeShard(
-        index=index,
-        num_shards=num_shards,
-        core_start=core_start,
-        core_end=core_end,
-        halo=halo,
-        graph=TimeSeriesGraph(sliced),
-        offsets=offsets,
-    )
+    shard = TimeShard(*bounds, graph=None)
+    sliced: List[EdgeSeries] = []
+    for view, first in store.window(
+        shard.core_start - shard.halo, shard.core_end + shard.halo
+    ):
+        sliced.append(view)
+        shard.offsets[(view.src, view.dst)] = first
+    shard.graph = TimeSeriesGraph(sliced)
+    return shard

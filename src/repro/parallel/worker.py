@@ -8,19 +8,24 @@ for the thread/serial backends.
 
 The process backend's default transport is the ``"columnar"`` envelope:
 instead of a pickled :class:`TimeShard`, a task carries the name of a
-shared-memory :class:`~repro.graph.columnar.ColumnStore` plus the shard's
-cut bounds. The worker attaches the store once per process (cached in
-:data:`_ATTACHED`), rebuilds the graph as zero-copy memoryview views, and
-re-materializes its shard slice locally — spawn payload drops from
-O(events) to O(1) per shard.
+shared-memory :class:`~repro.graph.columnar.ColumnStore` (or, for the
+``"segment"`` envelope, the path of a sealed segment file) plus the
+shard's cut bounds — a *light* shard. The worker attaches or maps the
+store once per process (cached in :data:`_STORES`) and materializes its
+shard straight from the flat columns: one pass over the slots bisects
+each slot's events against the shard window and builds memoryview views
+only for the series that overlap it
+(:func:`~repro.parallel.partition.materialize_shard`). No view of the
+whole graph is ever built, and the spawn payload is O(1) per shard.
 
 Workers do **not** ship :class:`~repro.core.instance.MotifInstance`
 objects back to the parent: an instance found in a shard is reduced to a
-compact :class:`InstanceRecord` — the vertex map plus one shard-local
-``(lo, hi)`` index range per motif edge. The merger rebinds records onto
-the parent graph's series using the shard's slice offsets, so merged
-instances are bit-identical to what a serial search would have produced
-(including being backed by the parent's own :class:`EdgeSeries` objects).
+compact :class:`InstanceRecord` — the vertex map plus one ``(lo, hi)``
+index range per motif edge, already rebased onto the *parent* series
+with the shard's per-slice offsets. The merger binds records onto the
+parent graph's series as they are, so merged instances are bit-identical
+to what a serial search would have produced (including being backed by
+the parent's own :class:`EdgeSeries` objects).
 
 Phase P1 runs per shard as the δ/φ-aware anchor frontier of
 :func:`repro.core.matching.iter_structural_matches`, seeded only with the
@@ -44,7 +49,6 @@ from repro.core.matching import iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
-from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _obs_metrics
 from repro.obs import profiler as _obs_profiler
 from repro.obs import tracing as _tracing
@@ -53,9 +57,9 @@ from repro.resilience import faultinject as _faultinject
 from repro.parallel.partition import TimeShard, materialize_shard
 from repro.utils.timing import Timer
 
-#: Compact shard-local form of one instance: the vertex map plus one
-#: inclusive (lo, hi) index range per motif edge, indices into the
-#: *shard's* sliced series.
+#: Compact form of one instance: the vertex map plus one inclusive
+#: (lo, hi) index range per motif edge, indices into the *parent*
+#: graph's full series (the worker adds each slice's offset).
 InstanceRecord = Tuple[Tuple[Node, ...], Tuple[Tuple[int, int], ...]]
 
 
@@ -73,12 +77,14 @@ class ShardSearchOutput:
     config_index: int = 0
 
 
-def _record(instance: MotifInstance) -> InstanceRecord:
-    """Reduce an instance to its shard-local record form."""
-    return (
-        instance.vertex_map,
-        tuple((run.lo, run.hi) for run in instance.runs),
-    )
+def _record(instance: MotifInstance, shard: TimeShard) -> InstanceRecord:
+    """Reduce a shard's instance to its parent-indexed record form."""
+    offsets = shard.offsets
+    ranges = []
+    for run in instance.runs:
+        offset = offsets[(run.series.src, run.series.dst)]
+        ranges.append((run.lo + offset, run.hi + offset))
+    return (instance.vertex_map, tuple(ranges))
 
 
 def _shard_matches(shard: TimeShard, motif: Motif, delta: float, phi: float):
@@ -124,7 +130,7 @@ def search_shard(
     if collect:
         def sink(instance: MotifInstance) -> None:
             counter[0] += 1
-            out.records.append(_record(instance))
+            out.records.append(_record(instance, shard))
     else:
         def sink(instance: MotifInstance) -> None:
             counter[0] += 1
@@ -195,7 +201,7 @@ def top_k_shard(
             matches, k, delta=delta, anchor_range=shard.anchor_range
         )
     out.p2_seconds = t2.elapsed
-    out.records = [_record(inst) for inst in instances]
+    out.records = [_record(inst, shard) for inst in instances]
     out.count = len(instances)
     return out
 
@@ -253,7 +259,7 @@ def batch_search_shard(
         if collect:
             def sink(instance: MotifInstance, _out=out, _counter=counter) -> None:
                 _counter[0] += 1
-                _out.records.append(_record(instance))
+                _out.records.append(_record(instance, shard))
         else:
             def sink(instance: MotifInstance, _out=out, _counter=counter) -> None:
                 _counter[0] += 1
@@ -274,61 +280,33 @@ def batch_search_shard(
     return outputs
 
 
-#: Per-process cache of attached shared-memory stores and their graph
-#: views, keyed by shm name. Pool workers handle several shard tasks per
-#: query; attaching and rebuilding the (zero-copy) graph view once per
-#: store amortizes the only non-trivial setup cost of the columnar path.
-_ATTACHED: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
-
-#: Per-process cache of mmap'd durable segments, keyed by file path —
-#: the file-tier twin of :data:`_ATTACHED`. Validation (every CRC) runs
-#: once per process on first map; later shard tasks reuse the view.
-_MAPPED: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
+#: Per-process cache of the column stores shard envelopes name, keyed by
+#: ``(kind, name)``: an attached shared-memory block for ``"columnar"``,
+#: a mapped (and once-validated) segment file for ``"segment"``. Pool
+#: workers handle several shard tasks per query; attaching or mapping
+#: once per store is the only setup that outlives a task.
+_STORES: Dict[Tuple[str, str], ColumnStore] = {}
 
 
-def _attached_graph(shm_name: str) -> TimeSeriesGraph:
-    """The columnar graph view of one shared store (cached per process)."""
-    entry = _ATTACHED.get(shm_name)
-    if entry is None:
-        store = ColumnStore.attach(shm_name)
-        entry = (store, store.to_graph())
-        _ATTACHED[shm_name] = entry
-    return entry[1]
+def _store(kind: str, name: str) -> ColumnStore:
+    """The column store one envelope names (cached per process).
 
-
-def _mapped_graph(path: str) -> TimeSeriesGraph:
-    """The columnar graph view of one sealed segment file (cached).
-
-    Workers never quarantine: a corrupt segment raises
+    Workers never quarantine a segment: a corrupt file raises
     :class:`~repro.resilience.SegmentCorruptionError` back to the
     dispatcher (classified as a task error, not retried into the same
     corruption forever thanks to the retry policy's bounded rounds);
     the *owner* of the store decides about renaming files.
     """
-    entry = _MAPPED.get(path)
-    if entry is None:
-        from repro.graph.segments import open_segment
+    store = _STORES.get((kind, name))
+    if store is None:
+        if kind == "columnar":
+            store = ColumnStore.attach(name)
+        else:
+            from repro.graph.segments import open_segment
 
-        store = open_segment(path, quarantine=False)
-        entry = (store, store.to_graph())
-        _MAPPED[path] = entry
-    return entry[1]
-
-
-def detach_all() -> None:
-    """Drop every cached attachment (test hygiene; workers never need it
-    — process exit releases the mappings)."""
-    for cache in (_ATTACHED, _MAPPED):
-        while cache:
-            _, (store, graph) = cache.popitem()
-            # Free the graph's series views before closing: they hold
-            # memoryviews over the store's buffers, and a mapping with
-            # live exports cannot be closed.
-            del graph
-            try:
-                store.close()
-            except BufferError:  # a shard slice outlives us; OS cleans up
-                pass
+            store = open_segment(name, quarantine=False)
+        _STORES[(kind, name)] = store
+    return store
 
 
 def run_shard_task(task: Tuple) -> object:
@@ -340,15 +318,15 @@ def run_shard_task(task: Tuple) -> object:
     The ``"columnar"`` kind is the zero-copy process-backend envelope:
     ``("columnar", shm_name, shard_bounds, inner_kind, args...)``. The
     worker attaches the named shared-memory :class:`ColumnStore` (cached
-    per process), re-materializes the shard as memoryview slices of the
-    shared buffers, and runs the inner task — the payload that crossed
-    the process boundary is a name and five numbers instead of pickled
-    event lists.
+    per process), materializes the shard as memoryview slices of the
+    shared columns (:func:`~repro.parallel.partition.materialize_shard`),
+    and runs the inner task — the payload that crossed the process
+    boundary is a name and five numbers instead of pickled event lists.
 
     The ``"segment"`` kind is the same light-shard envelope over the
     durable tier: ``("segment", file_path, shard_bounds, inner_kind,
     args...)``. The worker mmaps the sealed segment (validated once per
-    process, cached in :data:`_MAPPED`) instead of attaching shm — so a
+    process, cached in :data:`_STORES`) instead of attaching shm — so a
     graph larger than RAM fans out with only its path crossing the
     process boundary, and the OS pages in exactly the ranges each shard
     touches.
@@ -356,13 +334,9 @@ def run_shard_task(task: Tuple) -> object:
     kind, args = task[0], task[1:]
     if kind == "traced":
         return _run_traced(*args)
-    if kind == "columnar":
-        shm_name, bounds, inner_kind = args[0], args[1], args[2]
-        shard = materialize_shard(_attached_graph(shm_name), bounds)
-        return run_shard_task((inner_kind, shard) + tuple(args[3:]))
-    if kind == "segment":
-        path, bounds, inner_kind = args[0], args[1], args[2]
-        shard = materialize_shard(_mapped_graph(path), bounds)
+    if kind in ("columnar", "segment"):
+        name, bounds, inner_kind = args[0], args[1], args[2]
+        shard = materialize_shard(_store(kind, name), bounds)
         return run_shard_task((inner_kind, shard) + tuple(args[3:]))
     # Chaos hook: a no-op dict lookup unless a fault plan is armed in the
     # environment (tests/resilience). Placed on the unwrapped path so a

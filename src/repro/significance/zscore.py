@@ -27,15 +27,24 @@ def z_score(real_value: float, random_values: Sequence[float]) -> float:
     return (real_value - mean) / sigma
 
 
-def empirical_p_value(real_value: float, random_values: Sequence[float]) -> float:
-    """Fraction of randomized counts >= the real count.
+def exceeding_count(real_value: float, random_values: Sequence[float]) -> int:
+    """How many randomized counts reach the real count: the paper's raw
+    "k of n", which it reports as 0 for every tested motif."""
+    return sum(1 for v in random_values if v >= real_value)
 
-    The paper reports this as zero for all tested motifs (no random graph
-    ever reaches the real count).
+
+def empirical_p_value(real_value: float, random_values: Sequence[float]) -> float:
+    """Permutation p-value ``(k + 1) / (n + 1)`` of the real count.
+
+    ``k`` of the ``n`` randomized counts reach the real one. Counting the
+    real network as one of the permutations (Phipson & Smyth 2010) keeps
+    the test valid: the p-value is never 0, and with ``n`` permutations
+    it cannot go below ``1 / (n + 1)``.
     """
     if not random_values:
         raise ValueError("need at least one randomized count")
-    return sum(1 for v in random_values if v >= real_value) / len(random_values)
+    k = exceeding_count(real_value, random_values)
+    return (k + 1) / (len(random_values) + 1)
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,9 @@ class SignificanceSummary:
     maximum: float
     z: float
     p_value: float
+    #: The paper's raw "k of n": randomized counts reaching the real one.
+    exceeding: int
+    num_random: int
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -88,4 +100,6 @@ def summarize_significance(
         maximum=ordered[-1],
         z=z_score(real_value, ordered),
         p_value=empirical_p_value(real_value, ordered),
+        exceeding=exceeding_count(real_value, ordered),
+        num_random=n,
     )

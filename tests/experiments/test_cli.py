@@ -89,6 +89,15 @@ class TestFindCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_row_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("src,dst,time,flow\na,b,1,5\na,b,nan,5\n")
+        code = main(["find", str(path), "--motif", "M(2,1)", "--delta", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestStreamCommand:
     @pytest.fixture

@@ -79,6 +79,9 @@ class TestRunners:
         [table] = result["tables"]
         [row] = table["rows"]
         assert row[0] == "M(3,2)"
+        k_of_n, p_value = row[-2], row[-1]
+        k = int(k_of_n.split(" of ")[0])
+        assert k_of_n.endswith(" of 3") and p_value == round((k + 1) / 4, 3)
         json.dumps(result)
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from repro.graph.columnar import ColumnStore, GrowableColumnStore
 from repro.graph.interaction import InteractionGraph
-from repro.parallel.partition import partition_time_range
+from repro.parallel.partition import materialize_shard, partition_time_range
 
 
 def _grid_graph(num_events: int = 60) -> InteractionGraph:
@@ -77,6 +79,45 @@ class TestHaloAndOffsets:
                 for i in range(len(series)):
                     assert parent.time(i + offset) == series.time(i)
                     assert parent.flow(i + offset) == series.flow(i)
+
+    @pytest.mark.parametrize("slot_order", ["canonical", "arrival"])
+    def test_column_built_shard_equals_list_built(self, slot_order):
+        """A shard sliced from a column store has the list-built shard's
+        series, offsets and order: all_series(), out_series(n) and
+        in_series(n). Mixed int/str ids whose reprs are prefixes of one
+        another (1/10, 'a'/'ab') pin the repr-of-pair order; an
+        arrival-order store (a sealed segment's layout) must not leak
+        its slot order into the shard."""
+        rng = random.Random(7)
+        nodes = [1, 10, 2, 100, "a", "ab", "b", "1"]
+        events = []
+        for _ in range(300):
+            src, dst = rng.sample(nodes, 2)
+            events.append((src, dst, float(rng.randrange(0, 60)), 1.0 + rng.randrange(4)))
+        graph = InteractionGraph.from_tuples(events)
+        ts = graph.to_time_series()
+        if slot_order == "canonical":
+            store = ColumnStore.from_graph(ts)
+        else:
+            growable = GrowableColumnStore()
+            growable.extend(sorted(events, key=lambda e: e[2]))
+            store = growable.snapshot()
+            assert store.pairs != [(s.src, s.dst) for s in ts.all_series()]
+
+        def pairs(series_list):
+            return [(s.src, s.dst) for s in series_list]
+
+        for shard in partition_time_range(ts, 4, halo=5.0):
+            built = materialize_shard(store, shard.bounds)
+            assert built.bounds == shard.bounds
+            assert built.offsets == shard.offsets
+            assert built.graph.all_series() == shard.graph.all_series()
+            assert pairs(built.graph.all_series()) == pairs(shard.graph.all_series())
+            for node in nodes:
+                for adjacency in ("out_series", "in_series"):
+                    got = pairs(getattr(built.graph, adjacency)(node))
+                    assert got == pairs(getattr(shard.graph, adjacency)(node))
+                    assert got == sorted(got, key=lambda p: (repr(p[0]), repr(p[1])))
 
     def test_zero_halo_allowed(self):
         graph = _grid_graph()

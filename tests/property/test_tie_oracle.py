@@ -10,7 +10,11 @@ Every search path must equal the brute-force oracle of
 * serial find and count;
 * top-k against the sorted φ = 0 find, and the DP top-1 flow against its
   best instance;
-* thread-backend parallel find, count and top-k over 1–8 shards.
+* thread-backend parallel find, count and top-k over 1–8 shards;
+* process-backend find and count over 2–4 shards through both column
+  transports: the shared-memory ``"columnar"`` envelope, and a sealed
+  :class:`~repro.graph.segments.SegmentStore` (the ``"segment"``
+  envelope). Their workers slice the store's columns themselves.
 
 The δ-aware phase P1 is checked directly as well: its matches are a subset
 of the unpruned ones, and it keeps every match hosting an oracle instance.
@@ -18,6 +22,7 @@ of the unpruned ones, and it keeps every match hosting an oracle instance.
 
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +32,7 @@ from repro.core.engine import FlowMotifEngine
 from repro.core.matching import find_structural_matches, iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
+from repro.graph.segments import SegmentStore
 from repro.parallel import ParallelFlowMotifEngine
 
 #: Spanning paths of M(2,1), M(3,2), M(3,3) and M(4,3).
@@ -126,3 +132,53 @@ def test_parallel_paths_equal_oracle(case, shards, strategy):
         assert engine.count_instances(motif).count == len(oracle)
         top = engine.top_k(motif, 3)
     assert [i.flow for i in top] == [i.flow for i in serial_top]
+
+
+def _process_oracle_check(graph, search_graph, motif, shards, strategy, kind):
+    """Process-backend find and count over ``search_graph`` must equal the
+    oracle on ``graph``, with the workers fed through envelope ``kind``."""
+    oracle = brute_force_instances(graph.to_time_series(), motif)
+    with ParallelFlowMotifEngine(
+        search_graph, jobs=2, shards=shards, backend="process",
+        partition_strategy=strategy,
+    ) as engine:
+        partition = engine.partition(motif.delta)
+        if len(partition) > 1:
+            (task, *_) = engine._shard_tasks(partition, "count", motif)
+            assert task[0] == kind
+        assert keys(engine.find_instances(motif).instances) == Counter(oracle)
+        assert engine.count_instances(motif).count == len(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=cases(),
+    shards=st.integers(2, 4),
+    strategy=st.sampled_from(["events", "width"]),
+)
+def test_process_shm_transport_equals_oracle(case, shards, strategy):
+    graph, motif = case
+    _process_oracle_check(graph, graph, motif, shards, strategy, "columnar")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=cases(),
+    shards=st.integers(2, 4),
+    strategy=st.sampled_from(["events", "width"]),
+)
+def test_process_segment_transport_equals_oracle(case, shards, strategy):
+    graph, motif = case
+    with tempfile.TemporaryDirectory() as root:
+        store = SegmentStore(root)
+        # Per-pair appends must be time-ordered; a stable sort keeps tied
+        # events in the order the in-memory series holds them.
+        store.extend(
+            (it.src, it.dst, it.time, it.flow)
+            for it in sorted(graph.interactions(), key=lambda it: it.time)
+        )
+        store.seal()
+        search_graph = SegmentStore(root, create=False).search_graph()
+        _process_oracle_check(
+            graph, search_graph, motif, shards, strategy, "segment"
+        )

@@ -37,10 +37,11 @@ class TestZScore:
 
 class TestPValue:
     def test_none_reach_real(self):
-        assert empirical_p_value(10, [1, 2, 3]) == 0.0
+        # Never 0: the permutation p-value (k + 1) / (n + 1) floors at 1/4.
+        assert empirical_p_value(10, [1, 2, 3]) == pytest.approx(1 / 4)
 
     def test_some_reach_real(self):
-        assert empirical_p_value(2, [1, 2, 3]) == pytest.approx(2 / 3)
+        assert empirical_p_value(2, [1, 2, 3]) == pytest.approx(3 / 4)
 
     def test_all_reach_real(self):
         assert empirical_p_value(0, [1, 2, 3]) == 1.0
@@ -55,7 +56,8 @@ class TestSummary:
         assert s.q1 == pytest.approx(17.5)
         assert s.median == pytest.approx(25)
         assert s.q3 == pytest.approx(32.5)
-        assert s.p_value == 0.0
+        assert s.p_value == pytest.approx(1 / 5)
+        assert (s.exceeding, s.num_random) == (0, 4)
         assert s.z > 0
 
     def test_single_sample(self):
