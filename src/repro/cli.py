@@ -465,15 +465,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.streaming import StreamingDetector
     from repro.resilience.checkpoint import CheckpointError, load_checkpoint
 
-    strict = args.strict
-    if args.on_error is not None:
-        print(
-            "warning: --on-error is deprecated; malformed lines are "
-            "quarantined by default, use --strict to abort on them",
-            file=sys.stderr,
-        )
-        if args.on_error == "raise":
-            strict = True
     try:
         motif = Motif.from_string(args.motif, args.delta, args.phi)
     except ValueError as exc:
@@ -507,7 +498,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             motif,
             mode=args.mode,
             slack=args.slack,
-            late="raise" if strict else "drop",
+            late="raise" if args.strict else "drop",
         )
     profiler = None
     if args.profile or args.profile_out:
@@ -552,8 +543,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         for it in graph_io.iter_csv_interactions(
             source,
-            on_error="raise" if strict else "skip",
-            error_sink=None if strict else quarantine,
+            on_error="raise" if args.strict else "skip",
+            error_sink=None if args.strict else quarantine,
         ):
             try:
                 accepted = detector.add(it.src, it.dst, it.time, it.flow)
@@ -752,13 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "abort (exit 2) on malformed lines or events later than "
             "--slack allows, instead of quarantining/dropping them"
-        ),
-    )
-    stream_parser.add_argument(
-        "--on-error", choices=["raise", "skip"], default=None,
-        help=(
-            "deprecated: malformed lines are quarantined by default; "
-            "'raise' behaves like --strict"
         ),
     )
     stream_parser.add_argument(

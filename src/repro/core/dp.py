@@ -31,6 +31,14 @@ Three implementations are provided:
 All return identical values (property-tested); the ablation benchmark and
 ``benchmarks/bench_columnar_store.py`` compare them.
 
+:func:`top_one_instance` visits the matches in the order it is given them
+and carries the best flow so far as a floating threshold: a match or window
+whose flow bound cannot beat it is skipped. Given a match source (a
+function of the live threshold), it hands phase P1 ``lambda: best.flow``,
+so the φ-aware anchor frontier of
+:func:`repro.core.matching.iter_structural_matches` never yields a match
+that cannot reach the incumbent.
+
 The returned instance (when reconstruction is requested) is *valid* but not
 necessarily *maximal*: the DP optimizes flow only, and a maximal extension
 never decreases flow, so the maximum over maximal instances equals the DP
@@ -41,11 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.enumeration import match_is_feasible
 from repro.core.instance import MotifInstance, Run
-from repro.core.matching import StructuralMatch
+from repro.core.matching import MatchSource, StructuralMatch
 from repro.core.windows import Window, iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
 from repro.obs import metrics as _metrics
@@ -362,26 +370,24 @@ def top_one_per_window(
 
 
 def top_one_instance(
-    matches: Iterable[StructuralMatch],
+    matches: MatchSource,
     delta: Optional[float] = None,
     method: str = "auto",
     reconstruct: bool = True,
 ) -> TopOneResult:
-    """The maximum-flow instance of the motif over all structural matches."""
+    """The maximum-flow instance of the motif over all structural matches.
+
+    ``matches`` is a list or stream of structural matches, or a function
+    that takes the live threshold (the best flow so far) and returns them,
+    pruned with it.
+    """
     best = TopOneResult(0.0, None, None, None)
-    # Visiting promising matches first establishes a strong incumbent early,
-    # letting the per-window bound skip most of the remaining work. The
-    # bound (smallest total series flow — no instance can exceed it) is
-    # computed once per match and carried alongside it, serving both as
-    # the sort key and as the loop's cutoff test.
-    decorated = sorted(
-        ((min(s.total_flow for s in m.series), m) for m in matches),
-        key=lambda pair: pair[0],
-        reverse=True,
-    )
-    for bound, match in decorated:
-        if bound <= best.flow:
-            break  # sorted order: no later match can improve either
+    if callable(matches):
+        matches = matches(lambda: best.flow)
+    for match in matches:
+        # No instance of a match exceeds its smallest total series flow.
+        if min(s.total_flow for s in match.series) <= best.flow:
+            continue
         candidate = top_one_in_match(
             match,
             delta=delta,

@@ -16,8 +16,10 @@ behind one object bound to an interaction graph:
 
 Every search runs one streaming pipeline: phase P1 matches come out of the
 δ/φ-aware anchor-frontier DFS of :mod:`repro.core.matching` and flow
-straight into phase P2, with no intermediate match list. The paper's
-unpruned phase P1 (Table 4) is :meth:`FlowMotifEngine.structural_matches`.
+straight into phase P2, with no intermediate match list. Top-k and the DP
+feed their floating threshold (the k-th best and the best flow so far)
+back into that frontier as φ. The paper's unpruned phase P1 (Table 4) is
+:meth:`FlowMotifEngine.structural_matches`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core import topk as _topk
 from repro.core.instance import MotifInstance
 from repro.core.matching import (
     StructuralMatch,
+    Threshold,
     find_structural_matches,
     iter_structural_matches,
 )
@@ -131,10 +134,11 @@ class FlowMotifEngine:
         return find_structural_matches(self._ts, motif)
 
     def _feasible_matches(
-        self, motif: Motif, delta: Optional[float], phi: Optional[float]
+        self, motif: Motif, delta: Optional[float], phi: Optional[Threshold]
     ) -> Iterator[StructuralMatch]:
         """Phase P1 pruned to the matches that can host an instance under
-        the effective δ and φ, streamed."""
+        the effective δ and φ (a number, None for the motif's own, or a
+        live threshold), streamed."""
         return iter_structural_matches(
             self._ts,
             motif,
@@ -259,7 +263,9 @@ class FlowMotifEngine:
         """The k maximal instances with the largest flow (Section 5)."""
         with _span("p2.top_k"):
             return _topk.top_k_instances(
-                self._feasible_matches(motif, delta, 0.0), k, delta=delta
+                lambda bar: self._feasible_matches(motif, delta, bar),
+                k,
+                delta=delta,
             )
 
     def top_one_dp(
@@ -270,7 +276,9 @@ class FlowMotifEngine:
     ) -> _dp.TopOneResult:
         """The maximum-flow instance via the DP module (Section 5.1)."""
         return _dp.top_one_instance(
-            self._feasible_matches(motif, delta, 0.0), delta=delta, method=method
+            lambda bar: self._feasible_matches(motif, delta, bar),
+            delta=delta,
+            method=method,
         )
 
 

@@ -63,9 +63,11 @@ def match_is_feasible(
       exists iff any such chain exists (ignoring δ, which the window
       iterator enforces later).
 
-    The δ-aware phase P1 of :func:`repro.core.matching.
-    iter_structural_matches` applies both checks, the temporal one per
-    δ-window; they stay here for callers passing unpruned match lists.
+    The δ/φ-aware phase P1 of :func:`repro.core.matching.
+    iter_structural_matches` applies both checks in a stronger form: per
+    δ-window, with each series' run grown until its flow reaches φ (top-k
+    and the DP pass their floating threshold as φ). They stay here for
+    callers passing unpruned match lists.
     """
     if phi > 0:
         for series in series_list:

@@ -12,17 +12,31 @@ the spanning path's pattern (same position pairs coincide, all other
 positions are pairwise distinct — the bijection requirement of
 Definition 3.2).
 
-The search pipeline runs the same DFS δ-aware (``delta=``): an exact
-anchor-frontier test drops every branch on which no δ-window could hold an
-instance, so phase P2 only sees matches that might host one. The unpruned
-set stays available for Table 4 and the figure experiments through
+The search pipeline runs the same DFS δ- and φ-aware (``delta=``,
+``phi=``): an exact anchor-frontier test drops every branch on which no
+δ-window could hold an edge-set chain whose every run carries flow ≥ φ, so
+phase P2 only sees matches that might host an instance. φ may be a live
+threshold — a zero-argument callable read once per extension — which is
+how top-k (the k-th best flow) and the DP (the best flow so far) prune
+phase P1 with the floating φ of Section 5. The unpruned set stays
+available for Table 4 and the figure experiments through
 :func:`find_structural_matches`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.motif import Motif
 from repro.graph.events import Node
@@ -75,11 +89,48 @@ class StructuralMatch:
         return f"StructuralMatch({'→'.join(map(str, self.walk))})"
 
 
+#: A flow threshold: a number, or a zero-argument callable returning the
+#: current (never decreasing) value of a floating threshold.
+Threshold = Union[float, Callable[[], float]]
+
+#: Structural matches of one motif, or a function that takes a live
+#: threshold (a zero-argument callable) and returns them pruned with it —
+#: the form :mod:`repro.core.topk` and :mod:`repro.core.dp` accept.
+MatchSource = Union[
+    Iterable[StructuralMatch],
+    Callable[[Callable[[], float]], Iterable[StructuralMatch]],
+]
+
+
+def phi_run_end(cum: Sequence[float], start: int, phi: float) -> int:
+    """End index of the shortest run from ``start`` with flow ≥ ``phi``.
+
+    ``cum`` is a series' prefix-sum column (``EdgeSeries._cum``); the run
+    ``[start, end]`` has flow ``cum[end + 1] - cum[start]``, the exact
+    subtraction :meth:`EdgeSeries.flow_between` performs. The bisection
+    runs on ``cum[start] + phi``, which may round differently, so the
+    result is stepped until that subtraction agrees: the returned run is
+    the shortest one phase P2 would accept. Returns ``len(cum) - 1`` (the
+    series length) when no such run exists. Flows are positive, so the
+    prefix sums ascend and the end never moves back as ``start`` grows.
+    """
+    base = cum[start]
+    if cum[start + 1] - base >= phi:
+        return start
+    n = len(cum) - 1
+    p = bisect_left(cum, base + phi, start + 2)
+    while p <= n and cum[p] - base < phi:
+        p += 1
+    while cum[p - 1] - base >= phi:  # stops at start + 1 (checked above)
+        p -= 1
+    return p - 1
+
+
 def iter_structural_matches(
     graph: TimeSeriesGraph,
     motif: Motif,
     delta: Optional[float] = None,
-    phi: float = 0.0,
+    phi: Threshold = 0.0,
     anchor_range: Optional[Tuple[float, float]] = None,
 ) -> Iterator[StructuralMatch]:
     """Yield the structural matches of ``motif`` in ``graph`` (phase P1).
@@ -104,18 +155,24 @@ def iter_structural_matches(
     delta:
         When given, P1 is δ-aware: each branch carries an *anchor
         frontier*, the pairs ``(a, r)`` where ``a`` is a time of ``R(e_1)``
-        (a window anchor) and ``r`` the end of the greedy, strictly
-        time-respecting chain from ``a`` over the series chosen so far
-        (first element of each next series strictly after the previous
-        one). Every instance
-        starts at an anchor ``a`` and its own chain can only end later than
-        the greedy one, so an anchor is dropped once ``r > a + δ``; pairs
-        with equal reach merge into the later anchor, whose deadline is
-        later. A branch dies when no anchor is left, so only matches where
-        some window could hold an instance are yielded.
+        (a window anchor) and ``r`` the end of the greedy φ-chain from
+        ``a`` over the series chosen so far. On each series the chain
+        takes the shortest run with flow ≥ φ that starts at the first
+        element strictly after the previous reach (for ``R(e_1)``: at the
+        anchor itself), and ``r`` is that run's last time
+        (:func:`phi_run_end`). Edge-sets are contiguous runs with flow ≥ φ
+        and flows are positive, so every instance anchored at ``a`` ends
+        no earlier than this chain: an anchor is dropped once
+        ``r > a + δ``, pairs with equal reach merge into the later anchor
+        (whose deadline is later), and a branch dies when no anchor is
+        left. Only matches where some window could hold an instance are
+        yielded.
     phi:
-        When positive, a branch is cut when a chosen series' total flow is
-        below φ (every edge-set is a subset of its series).
+        The flow threshold, or a zero-argument callable returning a live,
+        never decreasing one (read once per extension). A branch is cut
+        when a chosen series' total flow is below φ (every edge-set is a
+        subset of its series); with ``delta`` it also shapes the frontier
+        above.
     anchor_range:
         With ``delta``, seed the frontier only with anchors in the
         half-open ``[lo, hi)`` — the instances a :mod:`repro.parallel`
@@ -123,39 +180,78 @@ def iter_structural_matches(
     """
     path = motif.spanning_path
     m = motif.num_edges
+    floating = callable(phi)
     # Assignment: motif vertex id -> graph node; used: set of assigned nodes.
     assignment: Dict[int, Node] = {}
     used: set = set()
     chosen_series: List[Optional[EdgeSeries]] = [None] * m
     # anchors[i], reaches[i]: the live frontier after edge i (δ-aware only).
-    # Both ascend; reaches strictly after position 0.
+    # Both ascend.
     anchors: List[Sequence[float]] = [()] * m
     reaches: List[Sequence[float]] = [()] * m
 
     def admit(position: int, series: EdgeSeries) -> bool:
         """Apply the optional flow/frontier pruning for one extension."""
-        if phi > 0 and series.total_flow < phi:
+        bar = phi() if floating else phi  # type: ignore[operator]
+        cum = series._cum
+        if bar > 0 and cum[-1] - cum[0] < bar:  # series.total_flow < φ
             return False
         if delta is None:
             return True
         times = series.times
+        n = len(times)
+        if bar <= 0 or n == 1:
+            # Every run reaches φ: the chain ends where it starts.
+            cum = None
         if position == 0:
             seeds = times
             if anchor_range is not None:
                 lo, hi = anchor_range
                 seeds = times[bisect_left(times, lo) : bisect_left(times, hi)]
-            anchors[0] = reaches[0] = seeds
-            return len(seeds) > 0
-        n = len(times)
+            if cum is None or not seeds:
+                anchors[0] = reaches[0] = seeds
+                return len(seeds) > 0
+            # Pairs (anchor, index where its run of R(e_1) starts): the
+            # first seed is the first of its tied times, and a tied anchor
+            # repeats the one before it.
+            first = bisect_left(times, seeds[0])
+            frontier: Iterable = [
+                (a, idx)
+                for idx, a in enumerate(seeds, first)
+                if idx == first or times[idx - 1] != a
+            ]
+        elif n == 1:
+            # One element: it extends the chains that reach it strictly
+            # before it, and they all merge into the latest such anchor.
+            t = times[0]
+            k = bisect_left(reaches[position - 1], t)
+            if k == 0 or anchors[position - 1][k - 1] + delta < t:
+                return False
+            if position == m - 1:
+                return True
+            anchors[position] = [anchors[position - 1][k - 1]]
+            reaches[position] = [t]
+            return True
+        else:
+            frontier = zip(anchors[position - 1], reaches[position - 1])
         last = position == m - 1
         live_anchors: List[float] = []
         live_reaches: List[float] = []
         idx = 0
-        for a, r in zip(anchors[position - 1], reaches[position - 1]):
-            idx = bisect_right(times, r, idx)
-            if idx == n:
-                break  # reaches ascend: no later anchor can continue
-            t = times[idx]
+        for a, r in frontier:
+            if position:
+                idx = bisect_right(times, r, idx)
+                if idx == n:
+                    break  # reaches ascend: no later anchor can continue
+            else:
+                idx = r  # the run's start index (position 0 pairs)
+            if cum is None:
+                t = times[idx]
+            else:
+                end = phi_run_end(cum, idx, bar)
+                if end == n:
+                    break  # starts ascend: no later anchor reaches φ
+                t = times[end]
             if t > a + delta:
                 continue
             if last:

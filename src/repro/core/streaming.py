@@ -43,7 +43,6 @@ sweep, so their emissions are identical by construction.
 from __future__ import annotations
 
 import math
-import warnings
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -276,37 +275,6 @@ class StreamingDetector:
     def num_events(self) -> int:
         """Total interactions ingested."""
         return self._graph.num_events
-
-    def stats(self) -> dict:
-        """Deprecated: use :meth:`metrics` (shared ``stream.*`` namespace).
-
-        Kept as a thin adapter over the registry-backed counters so
-        existing dashboards keep working; the dict shape is unchanged.
-        """
-        warnings.warn(
-            "StreamingDetector.stats() is deprecated; use "
-            "StreamingDetector.metrics() for the registry-backed view",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._stats_dict()
-
-    def _stats_dict(self) -> dict:
-        base = {
-            "mode": self.mode,
-            "events": self._graph.num_events,
-            "pairs": self._graph.num_series,
-            "matches": self.match_count,
-            "emitted": self._emitted,
-            "rebuilds": self._rebuild_count,
-            "slack": self.slack,
-            "pending": len(self._pending),
-            "late_dropped": self._late_dropped,
-        }
-        if self._matcher is not None:
-            base["scheduled_matches"] = self._matcher.scheduled_count
-            base["feasibility_checks"] = self._matcher.feasibility_checks
-        return base
 
     def metrics(self) -> "MetricsRegistry":
         """The detector's state as a fresh :class:`MetricsRegistry`.

@@ -9,16 +9,25 @@ maximal instances (with φ = 0) satisfying δ that have the largest flow
   *floating threshold*: a prefix whose aggregated flow cannot exceed it is
   pruned (the instance flow is the minimum over edge-sets, so the partial
   minimum is an upper bound on any completion's flow).
+
+The floating threshold also reaches phase P1: given a match source (a
+function of the live threshold, see :func:`top_k_instances`), the search
+hands it ``lambda: collector.threshold``, and the φ-aware anchor frontier
+of :func:`repro.core.matching.iter_structural_matches` drops every match
+that cannot host an instance at or above it. The threshold only rises, and
+offers at or below it are rejected anyway, so the collector accepts exactly
+the offers it would accept from the unpruned match list — same output,
+ties included.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.enumeration import match_is_feasible
 from repro.core.instance import MotifInstance, Run
-from repro.core.matching import StructuralMatch
+from repro.core.matching import MatchSource, StructuralMatch
 from repro.core.windows import iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
 
@@ -144,7 +153,7 @@ def _search_window(
 
 
 def top_k_instances(
-    matches: Iterable[StructuralMatch],
+    matches: MatchSource,
     k: int,
     delta: Optional[float] = None,
     floor: float = 0.0,
@@ -155,7 +164,9 @@ def top_k_instances(
     Parameters
     ----------
     matches:
-        Structural matches from phase P1 (all of one motif).
+        Structural matches from phase P1 (all of one motif), or a function
+        that takes the live threshold and returns them; phase P1 can then
+        prune with the floating threshold as it goes.
     k:
         How many instances to return (fewer if the graph has fewer).
     delta:
@@ -169,6 +180,8 @@ def top_k_instances(
         genuine instance from the top-k heap.
     """
     collector = TopKCollector(k, floor=floor)
+    if callable(matches):
+        matches = matches(lambda: collector.threshold)
     for match in matches:
         motif_delta = match.motif.delta if delta is None else delta
         series_list = match.series

@@ -30,22 +30,29 @@ the parent's own :class:`EdgeSeries` objects).
 Phase P1 runs per shard as the δ/φ-aware anchor frontier of
 :func:`repro.core.matching.iter_structural_matches`, seeded only with the
 anchors in ``shard.anchor_range``. Every instance a shard owns starts at
-an owned anchor, so the test stays exact: a shard lists only the matches
+an owned anchor, so the test stays exact: a shard keeps only the matches
 whose owned windows might hold an instance, and matches seen only through
-its halo are never built. Phase P2 still iterates every window of a listed
-match, so the skip rule sees the same history as a serial run.
+its halo are never built. Find, count and batch tasks list those matches
+under a ``p1.match`` span before phase P2; the top-k task streams them
+into its collector, pruned with the collector's live threshold. Phase P2
+still iterates every window of a match, so the skip rule sees the same
+history as a serial run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import counting as _counting
 from repro.core import enumeration as _enumeration
 from repro.core import topk as _topk
 from repro.core.instance import MotifInstance
-from repro.core.matching import iter_structural_matches
+from repro.core.matching import (
+    StructuralMatch,
+    Threshold,
+    iter_structural_matches,
+)
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
@@ -87,16 +94,16 @@ def _record(instance: MotifInstance, shard: TimeShard) -> InstanceRecord:
     return (instance.vertex_map, tuple(ranges))
 
 
-def _shard_matches(shard: TimeShard, motif: Motif, delta: float, phi: float):
+def _shard_matches(
+    shard: TimeShard, motif: Motif, delta: float, phi: Threshold
+) -> Iterator[StructuralMatch]:
     """Phase P1 on the shard slice, pruned to its owned anchors."""
-    return list(
-        iter_structural_matches(
-            shard.graph,
-            motif,
-            delta=delta,
-            phi=phi,
-            anchor_range=shard.anchor_range,
-        )
+    return iter_structural_matches(
+        shard.graph,
+        motif,
+        delta=delta,
+        phi=phi,
+        anchor_range=shard.anchor_range,
     )
 
 
@@ -122,7 +129,7 @@ def search_shard(
     # p1_seconds/p2_seconds, so span totals reconcile with the merged
     # ShardTimingReport (asserted in tests/obs/test_observed_search.py).
     with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, delta, phi)
+        matches = list(_shard_matches(shard, motif, delta, phi))
     out.num_matches = len(matches)
     out.p1_seconds = t1.elapsed
 
@@ -162,7 +169,7 @@ def count_shard(
     if shard.graph.num_series == 0:
         return out
     with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, delta, phi)
+        matches = list(_shard_matches(shard, motif, delta, phi))
     out.num_matches = len(matches)
     out.p1_seconds = t1.elapsed
     with _span("p2.count", shard=shard.index), Timer() as t2:
@@ -188,14 +195,20 @@ def top_k_shard(
     the halo can be truncated by the shard's data boundary, and allowing
     their (spurious) high-flow instances into the heap could displace
     genuine owned candidates.
+
+    Like the serial engine, the shard streams its phase-P1 matches into
+    the collector, pruned with the collector's live threshold, so P1 and
+    P2 share one span and ``p2_seconds``.
     """
     out = ShardSearchOutput(shard_index=shard.index)
     if shard.graph.num_series == 0:
         return out
-    with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, delta, 0.0)
-    out.num_matches = len(matches)
-    out.p1_seconds = t1.elapsed
+
+    def matches(bar):
+        for match in _shard_matches(shard, motif, delta, bar):
+            out.num_matches += 1
+            yield match
+
     with _span("p2.top_k", shard=shard.index), Timer() as t2:
         instances = _topk.top_k_instances(
             matches, k, delta=delta, anchor_range=shard.anchor_range
@@ -250,7 +263,9 @@ def batch_search_shard(
         key = motif.spanning_path
         if key not in matches_by_path:
             with _span("p1.match", shard=shard.index), Timer() as t1:
-                matches_by_path[key] = _shard_matches(shard, motif, *bounds[key])
+                matches_by_path[key] = list(
+                    _shard_matches(shard, motif, *bounds[key])
+                )
             out.p1_seconds = t1.elapsed
         matches = matches_by_path[key]
         out.num_matches = len(matches)

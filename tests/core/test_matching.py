@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.matching import find_structural_matches, iter_structural_matches
+from repro.core.enumeration import find_instances
+from repro.core.matching import (
+    find_structural_matches,
+    iter_structural_matches,
+    phi_run_end,
+)
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
+from repro.graph.timeseries import EdgeSeries
 
 
 def graph_of(*pairs):
@@ -125,22 +131,24 @@ class TestMatchContents:
 
 
 def chain4(e1, e2, e3):
-    """The a→b→c→d chain graph with the given times on its three pairs."""
+    """The a→b→c→d chain graph with the given events on its three pairs:
+    times (unit flow) or ``(time, flow)`` pairs."""
     g = InteractionGraph()
     pairs = (("a", "b"), ("b", "c"), ("c", "d"))
-    for (src, dst), times in zip(pairs, (e1, e2, e3)):
-        for t in times:
-            g.add_interaction(src, dst, float(t), 1.0)
+    for (src, dst), events in zip(pairs, (e1, e2, e3)):
+        for event in events:
+            t, f = event if isinstance(event, tuple) else (event, 1.0)
+            g.add_interaction(src, dst, float(t), f)
     return g.to_time_series()
 
 
-def kept(ts, delta, anchor_range=None):
+def kept(ts, delta, anchor_range=None, phi=0.0):
     """Whether the δ-aware P1 keeps the a→b→c→d chain match."""
     motif = Motif.chain(4, delta)
     return any(
         m.walk == ("a", "b", "c", "d")
         for m in iter_structural_matches(
-            ts, motif, delta=delta, anchor_range=anchor_range
+            ts, motif, delta=delta, phi=phi, anchor_range=anchor_range
         )
     )
 
@@ -153,6 +161,7 @@ class TestAnchorFrontier:
     def test_ties_do_not_chain(self):
         # Strictly later: a tie between consecutive edges is no chain.
         assert not kept(chain4([0], [1], [1]), delta=10)
+        assert not kept(chain4([0], [1], [1, 5]), delta=3)
 
     def test_later_anchor_rescues_the_match(self):
         # From anchor 0 the chain ends at 3 > 0 + 2; from anchor 1 it fits.
@@ -174,3 +183,60 @@ class TestAnchorFrontier:
         assert kept(ts, delta=2, anchor_range=(4, 5))
         assert not kept(ts, delta=2, anchor_range=(0, 4))
         assert not kept(ts, delta=10, anchor_range=(1, 4))
+
+    def test_phi_extends_the_chain_past_delta(self):
+        # Edge 2 needs both its elements (flow 1 + 1) to reach φ = 2, so
+        # the chain from anchor 0 ends at 3 and the last edge at 4; with
+        # φ = 1 it ends at 1 and the last edge at 2.
+        ts = chain4([(0, 2)], [1, 3], [(2, 2), (4, 2)])
+        assert kept(ts, delta=4, phi=2)
+        assert not kept(ts, delta=3.5, phi=2)
+        assert kept(ts, delta=3.5, phi=1)  # one element suffices
+
+    def test_phi_on_the_first_edge_starts_at_the_anchor(self):
+        # From anchor 0 the first edge needs 0 and 1 (flow 2); from anchor
+        # 1 it has flow 1 only, so that anchor dies.
+        ts = chain4([0, 1], [(2, 2)], [(3, 2)])
+        assert kept(ts, delta=3, phi=2)
+        assert not kept(ts, delta=2.5, phi=2)
+
+    def test_phi_equal_to_a_run_flow_is_kept(self):
+        # φ equals the flow 2 + 3 of edge 2's whole run, computed exactly.
+        ts = chain4([(0, 5)], [(1, 2), (2, 3)], [(3, 5)])
+        assert kept(ts, delta=3, phi=5)
+        assert not kept(ts, delta=3, phi=5.5)  # no run reaches it
+
+    def test_rounding_guard_agrees_with_flow_between(self):
+        # cum = [0, 0.3, 0.5, 0.9]; the run [1, 2] has flow
+        # cum[3] - cum[1] = 0.6000000000000001 in floats, but
+        # cum[1] + 0.6000000000000001 rounds up past cum[3], so a plain
+        # bisection on the sum would find no run at all.
+        series = EdgeSeries("b", "c", [1.0, 2.0, 3.0], [0.3, 0.2, 0.4])
+        phi = series.flow_between(1, 2)
+        assert series._cum[1] + phi > series._cum[3]
+        assert phi_run_end(series._cum, 1, phi) == 2
+        assert phi_run_end(series._cum, 1, phi + 1e-9) == 3  # none: len
+        assert phi_run_end(series._cum, 0, 0.3) == 0
+        assert phi_run_end(series._cum, 0, 0.30000000000000004) == 1
+
+    def test_rounding_guard_keeps_the_p2_instance(self):
+        ts = chain4([(0, 1)], [(1, 0.3), (2, 0.2), (3, 0.4)], [(4, 1)])
+        series = ts.series("b", "c")
+        phi = series.flow_between(1, 2)  # 0.6000000000000001
+        motif = Motif.chain(4, delta=4, phi=phi)
+        matches = list(iter_structural_matches(ts, motif, delta=4, phi=phi))
+        assert [m.walk for m in matches] == [("a", "b", "c", "d")]
+        assert len(find_instances(find_structural_matches(ts, motif))) == 1
+        assert len(find_instances(matches)) == 1
+
+    def test_floating_phi_is_read_once_per_extension(self):
+        ts = chain4([(0, 2)], [1, 3], [(4, 2)])
+        reads = []
+
+        def bar():
+            reads.append(None)
+            return 2.0
+
+        assert kept(ts, delta=4, phi=bar)
+        assert len(reads) == 3  # one extension per motif edge
+        assert not kept(ts, delta=3.5, phi=lambda: 2.0)

@@ -172,17 +172,17 @@ class TestStreamCommand:
         assert code == 2
         assert "out-of-order" in capsys.readouterr().err
 
-    def test_stream_on_error_skip_is_deprecated_alias(self, tmp_path, capsys):
+    def test_stream_on_error_flag_removed(self, tmp_path, capsys):
+        # What `--on-error skip` used to select is the default behaviour.
         path = tmp_path / "bad.csv"
         path.write_text("a,b,5,1\na,b,4,1\nz,w,50,1\n")
-        code = main(
-            ["stream", str(path), "--motif", "0-1", "--delta", "2",
-             "--on-error", "skip"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "2 events" in captured.err  # the t=4 row was dropped
-        assert "deprecated" in captured.err
+        args = ["stream", str(path), "--motif", "0-1", "--delta", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--on-error", "skip"])
+        assert exc.value.code == 2
+        assert "--on-error" in capsys.readouterr().err
+        assert main(args) == 0
+        assert "2 events" in capsys.readouterr().err  # the t=4 row dropped
 
     def test_stream_follow_rejects_stdin(self, capsys):
         code = main(["stream", "-", "--follow", "--motif", "0-1", "--delta", "2"])

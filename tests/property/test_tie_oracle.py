@@ -8,39 +8,60 @@ Every search path must equal the brute-force oracle of
 :mod:`repro.baselines.bruteforce` as a canonical-key multiset:
 
 * serial find and count;
-* top-k against the sorted φ = 0 find, and the DP top-1 flow against its
-  best instance;
+* top-k against the sorted φ = 0 find and, as an ordered list of
+  canonical keys, against top-k over the unpruned match list (no floating
+  threshold in phase P1); the DP top-1 flow against the best instance;
 * thread-backend parallel find, count and top-k over 1–8 shards;
-* process-backend find and count over 2–4 shards through both column
-  transports: the shared-memory ``"columnar"`` envelope, and a sealed
-  :class:`~repro.graph.segments.SegmentStore` (the ``"segment"``
-  envelope). Their workers slice the store's columns themselves.
+* process-backend find, count and top-k over 2–4 shards through both
+  column transports: the shared-memory ``"columnar"`` envelope, and a
+  sealed :class:`~repro.graph.segments.SegmentStore` (the ``"segment"``
+  envelope). Their workers slice the store's columns themselves;
+* :class:`~repro.parallel.BatchRunner` groups whose members differ in φ
+  (their shared phase P1 prunes with the smallest), serial and sharded.
 
-The δ-aware phase P1 is checked directly as well: its matches are a subset
-of the unpruned ones, and it keeps every match hosting an oracle instance.
+φ is drawn from the flows of actual contiguous runs, so edge-sets whose
+flow equals φ exactly are common. The δ/φ-aware phase P1 is checked
+directly as well: its matches are a subset of the unpruned ones, and it
+keeps every match hosting an oracle instance. With float flows (0.1, 0.2,
+…), whose sums round, every serial path must equal the same path run over
+the unpruned match list.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import brute_force_instances
+from repro.core.counting import count_instances
+from repro.core.dp import top_one_instance
 from repro.core.engine import FlowMotifEngine
-from repro.core.matching import find_structural_matches, iter_structural_matches
+from repro.core.enumeration import find_instances
+from repro.core.matching import (
+    find_structural_matches,
+    iter_structural_matches,
+    phi_run_end,
+)
 from repro.core.motif import Motif
+from repro.core.topk import top_k_instances
 from repro.graph.interaction import InteractionGraph
 from repro.graph.segments import SegmentStore
-from repro.parallel import ParallelFlowMotifEngine
+from repro.graph.timeseries import EdgeSeries
+from repro.parallel import BatchRunner, MotifConfig, ParallelFlowMotifEngine
 
 #: Spanning paths of M(2,1), M(3,2), M(3,3) and M(4,3).
 SHAPES = [(0, 1), (0, 1, 2), (0, 1, 2, 0), (0, 1, 2, 3)]
 
 
+#: Flows whose sums round in binary floating point.
+FLOAT_FLOWS = st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.7])
+
+
 @st.composite
-def cases(draw):
+def cases(draw, flows=st.integers(1, 4)):
     num_nodes = draw(st.integers(2, 4))
     events = draw(
         st.lists(
@@ -48,7 +69,7 @@ def cases(draw):
                 st.integers(0, num_nodes - 1),
                 st.integers(1, num_nodes - 1),  # dst offset: no self-loops
                 st.integers(0, 4),
-                st.integers(1, 4),
+                flows,
             ).map(lambda e: (e[0], (e[0] + e[1]) % num_nodes, e[2], e[3])),
             min_size=1,
             max_size=10,
@@ -57,9 +78,23 @@ def cases(draw):
     times = sorted({t for _, _, t, _ in events})
     gaps = sorted({b - a for a in times for b in times if b > a})
     delta = draw(st.sampled_from([0] + gaps))
-    phi = draw(st.sampled_from([0, 3]))
+    graph = InteractionGraph.from_tuples(events)
+    phi = draw(st.sampled_from([0] + run_flows(graph)))
     motif = Motif(draw(st.sampled_from(SHAPES)), delta, phi)
-    return InteractionGraph.from_tuples(events), motif
+    return graph, motif
+
+
+def run_flows(graph):
+    """The flow of every contiguous run of every series, computed the way
+    phase P2 does (a prefix-sum difference)."""
+    return sorted(
+        {
+            series.flow_between(lo, hi)
+            for series in graph.to_time_series().all_series()
+            for lo in range(len(series))
+            for hi in range(lo, len(series))
+        }
+    )
 
 
 def keys(instances):
@@ -89,11 +124,69 @@ def test_serial_paths_equal_oracle(case):
     assert keys(unfiltered.instances) == Counter(oracle0)
     flows = sorted((i.flow for i in unfiltered.instances), reverse=True)
     assert flows == sorted(map(key_flow, oracle0), reverse=True)
+    unpruned = find_structural_matches(ts, motif)
     for k in (1, 3):
         top = engine.top_k(motif, k)
         assert [i.flow for i in top] == flows[:k]
         assert all(i.canonical_key() in oracle0 for i in top)
+        assert ordered_keys(top) == ordered_keys(top_k_instances(unpruned, k))
     assert engine.top_one_dp(motif).flow == (flows[0] if flows else 0.0)
+
+
+def ordered_keys(instances):
+    return [i.canonical_key() for i in instances]
+
+
+@settings(max_examples=300, deadline=None)
+@given(flows=st.lists(FLOAT_FLOWS, min_size=1, max_size=8))
+def test_phi_run_end_equals_linear_scan(flows):
+    # Every run flow, and the floats just around it, as φ: the frontier's
+    # run end must be the first one phase P2's subtraction accepts.
+    series = EdgeSeries("a", "b", list(range(len(flows))), flows)
+    n = len(series)
+    for phi in run_flows(InteractionGraph.from_tuples(
+        ("a", "b", t, f) for t, f in series
+    )):
+        for bar in (math.nextafter(phi, 0), phi, math.nextafter(phi, math.inf)):
+            for start in range(n):
+                expected = next(
+                    (
+                        end
+                        for end in range(start, n)
+                        if series.flow_between(start, end) >= bar
+                    ),
+                    n,
+                )
+                assert phi_run_end(series._cum, start, bar) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases(FLOAT_FLOWS))
+def test_float_flows_equal_unpruned_pipeline(case):
+    graph, motif = case
+    ts = graph.to_time_series()
+    unpruned = find_structural_matches(ts, motif)
+    engine = FlowMotifEngine(graph)
+
+    reference = find_instances(unpruned)
+    assert keys(engine.find_instances(motif).instances) == keys(reference)
+    assert engine.count_instances(motif).count == count_instances(unpruned)
+    for k in (1, 3):
+        assert ordered_keys(engine.top_k(motif, k)) == ordered_keys(
+            top_k_instances(unpruned, k)
+        )
+    best = max((i.flow for i in find_instances(unpruned, phi=0)), default=0.0)
+    assert engine.top_one_dp(motif).flow == best
+    assert top_one_instance(unpruned).flow == best
+
+    pruned = Counter(
+        m.vertex_map
+        for m in iter_structural_matches(
+            ts, motif, delta=motif.delta, phi=motif.phi
+        )
+    )
+    assert pruned <= Counter(m.vertex_map for m in unpruned)
+    assert {i.vertex_map for i in reference} <= set(pruned)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,10 +227,32 @@ def test_parallel_paths_equal_oracle(case, shards, strategy):
     assert [i.flow for i in top] == [i.flow for i in serial_top]
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=cases(), shards=st.integers(1, 4), extra=st.integers(0, 3))
+def test_batch_phi_group_equals_oracle(case, shards, extra):
+    graph, motif = case
+    ts = graph.to_time_series()
+    flows = [0] + run_flows(graph)
+    phis = sorted({0, motif.phi, flows[min(extra, len(flows) - 1)]})
+    configs = [MotifConfig(motif, phi=phi) for phi in phis]
+    serial = BatchRunner(graph, jobs=1).run(configs)
+    sharded = BatchRunner(
+        graph, jobs=2, shards=shards, backend="thread"
+    ).run(configs)
+    for phi, one, many in zip(phis, serial, sharded):
+        oracle = Counter(brute_force_instances(ts, motif, phi=phi))
+        assert keys(one.instances) == oracle
+        assert keys(many.instances) == oracle
+
+
 def _process_oracle_check(graph, search_graph, motif, shards, strategy, kind):
-    """Process-backend find and count over ``search_graph`` must equal the
-    oracle on ``graph``, with the workers fed through envelope ``kind``."""
-    oracle = brute_force_instances(graph.to_time_series(), motif)
+    """Process-backend find, count and top-k over ``search_graph`` must
+    equal the oracle on ``graph``, with the workers fed through envelope
+    ``kind``."""
+    ts = graph.to_time_series()
+    oracle = brute_force_instances(ts, motif)
+    oracle0 = brute_force_instances(ts, motif, phi=0)
+    serial_top = FlowMotifEngine(ts).top_k(motif, 3)
     with ParallelFlowMotifEngine(
         search_graph, jobs=2, shards=shards, backend="process",
         partition_strategy=strategy,
@@ -148,6 +263,9 @@ def _process_oracle_check(graph, search_graph, motif, shards, strategy, kind):
             assert task[0] == kind
         assert keys(engine.find_instances(motif).instances) == Counter(oracle)
         assert engine.count_instances(motif).count == len(oracle)
+        top = engine.top_k(motif, 3)
+    assert [i.flow for i in top] == [i.flow for i in serial_top]
+    assert all(i.canonical_key() in oracle0 for i in top)
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,13 +146,13 @@ class TestLateEvents:
         assert snapshot["counters"]["stream.late_dropped"] == 1
         assert snapshot["gauges"]["stream.reorder_depth"] >= detector.pending_count
 
-    def test_stats_adapter_still_warns(self):
-        # The deprecated dict adapter must keep warning until removal.
+    def test_metrics_report_slack_and_pending(self):
+        # metrics() is the only state report; the stats() dict is gone.
         detector = self._fed(slack=5.0, late="drop")
-        with pytest.warns(DeprecationWarning, match="metrics"):
-            stats = detector.stats()
-        assert stats["slack"] == 5.0
-        assert stats["pending"] == detector.pending_count
+        gauges = detector.metrics().snapshot()["gauges"]
+        assert gauges["stream.slack"] == 5.0
+        assert gauges["stream.reorder_depth"] == detector.pending_count
+        assert not hasattr(detector, "stats")
 
 
 class TestValidation:
